@@ -16,7 +16,6 @@
 //! [`Event::Checkpoint`] in the run log.
 
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 use rgae_ckpt::codec::{ByteReader, ByteWriter};
 use rgae_ckpt::state::{get_csr, get_mat, put_csr, put_mat};
@@ -151,7 +150,7 @@ pub struct TrainerState {
     /// `(epoch, Z, A^self_clus)` snapshots so far (`None` graph for plain
     /// runs).
     pub(crate) snapshots: Vec<(usize, Mat, Option<Csr>)>,
-    /// Clustering-phase wall-clock seconds accumulated before the save.
+    /// Wall-clock seconds spent in the state's phase before the save.
     pub(crate) elapsed_seconds: f64,
     /// The guard recovery policy ran out of retries and the run finished on
     /// last-good parameters (phase `Done` only).
@@ -204,23 +203,11 @@ impl TrainerState {
             w.put_u64(word);
         }
         w.put_opt_f64(self.rng_spare);
-        match &self.omega {
-            Some(o) => {
-                w.put_bool(true);
-                put_omega(&mut w, o);
-            }
-            None => w.put_bool(false),
-        }
-        match &self.a_self {
-            Some(a) => {
-                w.put_bool(true);
-                put_csr(&mut w, a);
-            }
-            None => w.put_bool(false),
-        }
+        put_opt(&mut w, self.omega.as_ref(), put_omega);
+        put_opt(&mut w, self.a_self.as_ref(), put_csr);
         w.put_opt_usize(self.converged_at);
-        put_opt_metrics(&mut w, self.pretrain_metrics.as_ref());
-        put_opt_metrics(&mut w, self.final_metrics.as_ref());
+        put_opt(&mut w, self.pretrain_metrics.as_ref(), put_metrics);
+        put_opt(&mut w, self.final_metrics.as_ref(), put_metrics);
         w.put_usize(self.epochs.len());
         for e in &self.epochs {
             put_epoch_record(&mut w, e);
@@ -229,13 +216,7 @@ impl TrainerState {
         for (epoch, z, a) in &self.snapshots {
             w.put_usize(*epoch);
             put_mat(&mut w, z);
-            match a {
-                Some(a) => {
-                    w.put_bool(true);
-                    put_csr(&mut w, a);
-                }
-                None => w.put_bool(false),
-            }
+            put_opt(&mut w, a.as_ref(), put_csr);
         }
         w.put_f64(self.elapsed_seconds);
         w.put_bool(self.degraded);
@@ -263,19 +244,11 @@ impl TrainerState {
         let model = ModelState::decode(r)?;
         let rng_words = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
         let rng_spare = r.get_opt_f64()?;
-        let omega = if r.get_bool()? {
-            Some(get_omega(r)?)
-        } else {
-            None
-        };
-        let a_self = if r.get_bool()? {
-            Some(get_csr(r)?)
-        } else {
-            None
-        };
+        let omega = get_opt(r, get_omega)?;
+        let a_self = get_opt(r, get_csr)?;
         let converged_at = r.get_opt_usize()?;
-        let pretrain_metrics = get_opt_metrics(r)?;
-        let final_metrics = get_opt_metrics(r)?;
+        let pretrain_metrics = get_opt(r, get_metrics)?;
+        let final_metrics = get_opt(r, get_metrics)?;
         let n = r.get_len(8)?;
         let mut epochs = Vec::with_capacity(n);
         for _ in 0..n {
@@ -286,17 +259,18 @@ impl TrainerState {
         for _ in 0..n {
             let epoch = r.get_usize()?;
             let z = get_mat(r)?;
-            let a = if r.get_bool()? {
-                Some(get_csr(r)?)
-            } else {
-                None
-            };
-            snapshots.push((epoch, z, a));
+            snapshots.push((epoch, z, get_opt(r, get_csr)?));
         }
         let elapsed_seconds = r.get_f64()?;
         let degraded = r.get_bool()?;
         if !r.is_done() {
             return Err(CkptError::Corrupt("trailing bytes after trainer state"));
+        }
+        // Final metrics mark a finished run, which also carries the
+        // pretrain metrics; resume fast-forwards on them.
+        let done = phase == Phase::Done;
+        if final_metrics.is_some() != done || (done && pretrain_metrics.is_none()) {
+            return Err(CkptError::Corrupt("finished state without its metrics"));
         }
         Ok(TrainerState {
             variant,
@@ -315,28 +289,6 @@ impl TrainerState {
             degraded,
         })
     }
-
-    /// The stored snapshots in the R-report shape (graphs defaulting to
-    /// `fallback` when a snapshot carries none).
-    pub(crate) fn r_snapshots(&self, fallback: &Rc<Csr>) -> Vec<(usize, Mat, Rc<Csr>)> {
-        self.snapshots
-            .iter()
-            .map(|(e, z, a)| {
-                let graph = a
-                    .as_ref()
-                    .map_or_else(|| Rc::clone(fallback), |a| Rc::new(a.clone()));
-                (*e, z.clone(), graph)
-            })
-            .collect()
-    }
-
-    /// The stored snapshots in the plain-report shape.
-    pub(crate) fn plain_snapshots(&self) -> Vec<(usize, Mat)> {
-        self.snapshots
-            .iter()
-            .map(|(e, z, _)| (*e, z.clone()))
-            .collect()
-    }
 }
 
 fn put_omega(w: &mut ByteWriter, o: &Omega) {
@@ -353,70 +305,74 @@ fn get_omega(r: &mut ByteReader) -> rgae_ckpt::Result<Omega> {
     })
 }
 
-fn put_opt_metrics(w: &mut ByteWriter, m: Option<&Metrics>) {
-    match m {
-        Some(m) => {
-            w.put_bool(true);
-            w.put_f64(m.acc);
-            w.put_f64(m.nmi);
-            w.put_f64(m.ari);
-        }
-        None => w.put_bool(false),
+/// An optional value: a presence flag, then the value when present.
+fn put_opt<T>(w: &mut ByteWriter, v: Option<&T>, put: fn(&mut ByteWriter, &T)) {
+    w.put_bool(v.is_some());
+    if let Some(v) = v {
+        put(w, v);
     }
 }
 
-fn get_opt_metrics(r: &mut ByteReader) -> rgae_ckpt::Result<Option<Metrics>> {
-    Ok(if r.get_bool()? {
-        Some(Metrics {
-            acc: r.get_f64()?,
-            nmi: r.get_f64()?,
-            ari: r.get_f64()?,
-        })
-    } else {
-        None
+fn get_opt<T>(
+    r: &mut ByteReader,
+    get: fn(&mut ByteReader) -> rgae_ckpt::Result<T>,
+) -> rgae_ckpt::Result<Option<T>> {
+    r.get_bool()?.then(|| get(r)).transpose()
+}
+
+fn put_metrics(w: &mut ByteWriter, m: &Metrics) {
+    w.put_f64(m.acc);
+    w.put_f64(m.nmi);
+    w.put_f64(m.ari);
+}
+
+fn get_metrics(r: &mut ByteReader) -> rgae_ckpt::Result<Metrics> {
+    Ok(Metrics {
+        acc: r.get_f64()?,
+        nmi: r.get_f64()?,
+        ari: r.get_f64()?,
     })
 }
 
-fn put_opt_pair(w: &mut ByteWriter, p: Option<(usize, usize)>) {
-    match p {
-        Some((a, b)) => {
-            w.put_bool(true);
-            w.put_usize(a);
-            w.put_usize(b);
-        }
-        None => w.put_bool(false),
-    }
+fn put_pair(w: &mut ByteWriter, &(a, b): &(usize, usize)) {
+    w.put_usize(a);
+    w.put_usize(b);
 }
 
-fn get_opt_pair(r: &mut ByteReader) -> rgae_ckpt::Result<Option<(usize, usize)>> {
-    Ok(if r.get_bool()? {
-        Some((r.get_usize()?, r.get_usize()?))
-    } else {
-        None
+fn get_pair(r: &mut ByteReader) -> rgae_ckpt::Result<(usize, usize)> {
+    Ok((r.get_usize()?, r.get_usize()?))
+}
+
+fn put_graph_stats(w: &mut ByteWriter, s: &GraphStats) {
+    w.put_usize(s.num_edges);
+    w.put_usize(s.true_links);
+    w.put_usize(s.false_links);
+    w.put_f64(s.mean_degree);
+    w.put_usize(s.max_degree);
+    w.put_usize(s.isolated);
+}
+
+fn get_graph_stats(r: &mut ByteReader) -> rgae_ckpt::Result<GraphStats> {
+    Ok(GraphStats {
+        num_edges: r.get_usize()?,
+        true_links: r.get_usize()?,
+        false_links: r.get_usize()?,
+        mean_degree: r.get_f64()?,
+        max_degree: r.get_usize()?,
+        isolated: r.get_usize()?,
     })
 }
 
 fn put_epoch_record(w: &mut ByteWriter, e: &EpochRecord) {
     w.put_usize(e.epoch);
     w.put_f64(e.loss);
-    put_opt_metrics(w, e.metrics.as_ref());
+    put_opt(w, e.metrics.as_ref(), put_metrics);
     w.put_usize(e.omega_size);
     w.put_f64(e.omega_acc);
     w.put_f64(e.rest_acc);
-    match &e.graph_stats {
-        Some(s) => {
-            w.put_bool(true);
-            w.put_usize(s.num_edges);
-            w.put_usize(s.true_links);
-            w.put_usize(s.false_links);
-            w.put_f64(s.mean_degree);
-            w.put_usize(s.max_degree);
-            w.put_usize(s.isolated);
-        }
-        None => w.put_bool(false),
-    }
-    put_opt_pair(w, e.added_links);
-    put_opt_pair(w, e.dropped_links);
+    put_opt(w, e.graph_stats.as_ref(), put_graph_stats);
+    put_opt(w, e.added_links.as_ref(), put_pair);
+    put_opt(w, e.dropped_links.as_ref(), put_pair);
     w.put_opt_f64(e.lambda_fr_restricted);
     w.put_opt_f64(e.lambda_fr_full);
     w.put_opt_f64(e.lambda_fd_current);
@@ -427,24 +383,13 @@ fn get_epoch_record(r: &mut ByteReader) -> rgae_ckpt::Result<EpochRecord> {
     Ok(EpochRecord {
         epoch: r.get_usize()?,
         loss: r.get_f64()?,
-        metrics: get_opt_metrics(r)?,
+        metrics: get_opt(r, get_metrics)?,
         omega_size: r.get_usize()?,
         omega_acc: r.get_f64()?,
         rest_acc: r.get_f64()?,
-        graph_stats: if r.get_bool()? {
-            Some(GraphStats {
-                num_edges: r.get_usize()?,
-                true_links: r.get_usize()?,
-                false_links: r.get_usize()?,
-                mean_degree: r.get_f64()?,
-                max_degree: r.get_usize()?,
-                isolated: r.get_usize()?,
-            })
-        } else {
-            None
-        },
-        added_links: get_opt_pair(r)?,
-        dropped_links: get_opt_pair(r)?,
+        graph_stats: get_opt(r, get_graph_stats)?,
+        added_links: get_opt(r, get_pair)?,
+        dropped_links: get_opt(r, get_pair)?,
         lambda_fr_restricted: r.get_opt_f64()?,
         lambda_fr_full: r.get_opt_f64()?,
         lambda_fd_current: r.get_opt_f64()?,

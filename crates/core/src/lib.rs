@@ -31,6 +31,7 @@ mod checkpoint;
 mod diagnostics;
 mod eval;
 mod multiplex;
+mod phase;
 pub mod theory;
 mod trainer;
 mod upsilon;

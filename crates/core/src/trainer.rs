@@ -1,19 +1,27 @@
 //! The R-trainer: integrates Ξ and Υ into any [`GaeModel`] (the paper's
 //! "R-𝒟" recipe), plus the plain trainer used for the un-modified baselines.
 //!
-//! Training loop (Section 5.1):
+//! Training schedule (Section 5.1), shared by both trainers:
 //!
 //! 1. pretrain with vanilla reconstruction;
 //! 2. initialise the clustering head (k-means / GMM on the embeddings);
-//! 3. every `M₁` epochs recompute Ω = Ξ(P′); every `M₂` epochs rebuild the
-//!    self-supervision graph `A^self_clus = Υ(A, P, Ω)`;
-//! 4. optimise `L_clus(P(Ξ(Z)))` + γ·BCE(Â, A^self_clus) until the
-//!    convergence criterion `|Ω| ≥ 0.9·|𝒱|`.
+//! 3. run clustering epochs. R-𝒟 adds only this: every `M₁` epochs it
+//!    recomputes Ω = Ξ(P′), and every `M₂` epochs it rebuilds the
+//!    self-supervision graph `A^self_clus = Υ(A, P, Ω)`. It optimises
+//!    `L_clus(P(Ξ(Z)))` + γ·BCE(Â, A^self_clus) until the convergence
+//!    criterion `|Ω| ≥ 0.9·|𝒱|`; plain 𝒟 keeps `Ω = 𝒱` and `A`.
+//!
+//! Both phases run through one `PhaseLoop` (`phase.rs`) — its module
+//! docs give the per-epoch order — with a pretraining body shared by both
+//! variants and one clustering body whose Ξ/Υ work is switched on for R-𝒟.
+//! 𝒟 and R-𝒟 thus share pretrained weights bit for bit (the Tables 1–2
+//! protocol).
 //!
 //! The [`RConfig`] switches expose every protocol variation the paper
 //! evaluates: Ξ delays (Table 6), single-step protection against FD
 //! (Table 7), the α ablations (Table 8), and the add/drop ablations
-//! (Table 9).
+//! (Table 9). [`RConfig::validate`] rejects a bad configuration at every
+//! trainer entry, before any epoch runs or any checkpoint is written.
 //!
 //! Both trainers report into a [`Recorder`] (default: the no-op recorder):
 //! phase spans (`pretrain`, `init_head`, `clustering` with nested
@@ -25,15 +33,11 @@
 
 use std::rc::Rc;
 
-use rgae_autodiff::{arm_grad_poison, disarm_grad_poison};
 use rgae_cluster::accuracy;
 use rgae_graph::{AttributedGraph, GraphStats};
-use rgae_guard::{
-    emit_finding, FaultKind, FaultPlan, Finding, GuardConfig, HealthMonitor, RecoveryPolicy,
-    RetryPlan, Severity,
-};
-use rgae_linalg::{Csr, Rng64};
-use rgae_models::{ClusterStep, GaeModel, ModelState, StepSpec, TrainData};
+use rgae_guard::GuardConfig;
+use rgae_linalg::{Csr, Mat, Rng64};
+use rgae_models::{ClusterStep, GaeModel, StepSpec, TrainData};
 use rgae_obs::{span, EpochEvent, Event, Recorder, RunSummary, NOOP};
 
 use crate::checkpoint::{CheckpointOpts, Phase, Saver, TrainerState, VARIANT_PLAIN, VARIANT_R};
@@ -41,9 +45,10 @@ use crate::diagnostics::{lambda_fd, lambda_fr, one_hot_targets_counted, q_prime}
 use crate::eval::{
     evaluate_traced, soft_assignments_or_kmeans_traced, xi_assignments_or_kmeans_traced, Metrics,
 };
+use crate::phase::{restore, Ctx, GuardDriver, PhaseBody, PhaseLoop};
 use crate::upsilon::{upsilon, UpsilonConfig};
 use crate::xi::{xi, Omega, XiConfig};
-use crate::Result;
+use crate::{Error, Result};
 
 /// How Υ counters Feature Drift.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,6 +271,37 @@ impl RConfig {
         ])
     }
 
+    /// Check the configuration: the refresh and evaluation periods and any
+    /// thread or tile override must be positive, γ finite and
+    /// non-negative, the convergence threshold a number, and Ξ's
+    /// thresholds in [0, 1]. Every trainer entry calls this before any
+    /// epoch runs or any checkpoint is written.
+    pub fn validate(&self) -> Result<()> {
+        self.xi.validate()?;
+        let checks = [
+            (self.m1 == 0, "m1 must be at least 1"),
+            (self.m2 == 0, "m2 must be at least 1"),
+            (self.eval_every == 0, "eval_every must be at least 1"),
+            (
+                self.threads == Some(0),
+                "threads must be at least 1 when set",
+            ),
+            (
+                self.decoder_tile == Some(0),
+                "decoder_tile must be at least 1 when set",
+            ),
+            (
+                !(self.gamma.is_finite() && self.gamma >= 0.0),
+                "gamma must be finite and non-negative",
+            ),
+            (self.convergence.is_nan(), "convergence must not be NaN"),
+        ];
+        match checks.into_iter().find(|&(bad, _)| bad) {
+            Some((_, msg)) => Err(Error::Config(msg)),
+            None => Ok(()),
+        }
+    }
+
     /// Shrink epoch counts for smoke tests and `--quick` harness runs.
     pub fn quick(mut self) -> Self {
         self.pretrain_epochs = self.pretrain_epochs.min(60);
@@ -351,7 +387,7 @@ pub struct RReport {
     /// Final self-supervision graph (for Fig. 4 snapshots).
     pub final_graph: Rc<Csr>,
     /// `(epoch, Z, A^self_clus)` snapshots taken at `snapshot_epochs`.
-    pub snapshots: Vec<(usize, rgae_linalg::Mat, Rc<Csr>)>,
+    pub snapshots: Vec<(usize, Mat, Rc<Csr>)>,
     /// The guard layer exhausted its retries and the run finished on the
     /// last-good parameters instead of fully recovering.
     pub degraded: bool,
@@ -369,7 +405,7 @@ pub struct PlainReport {
     /// Wall-clock seconds for the clustering phase.
     pub train_seconds: f64,
     /// `(epoch, Z)` snapshots taken at `snapshot_epochs`.
-    pub snapshots: Vec<(usize, rgae_linalg::Mat)>,
+    pub snapshots: Vec<(usize, Mat)>,
     /// The guard layer exhausted its retries and the run finished on the
     /// last-good parameters instead of fully recovering.
     pub degraded: bool,
@@ -400,8 +436,8 @@ fn edge_diff(a: &Csr, b: &Csr) -> Vec<(usize, usize)> {
 /// The supervised clustering-oriented graph `Υ(A, Q′, 𝒱)` used by Λ_FD.
 fn supervised_graph(
     data: &TrainData,
-    z: &rgae_linalg::Mat,
-    p: &rgae_linalg::Mat,
+    z: &Mat,
+    p: &Mat,
     truth: &[usize],
     rec: &dyn Recorder,
 ) -> Result<Rc<Csr>> {
@@ -423,251 +459,6 @@ fn supervised_graph(
     Ok(Rc::new(out.graph))
 }
 
-/// Outcome of a guard recovery decision.
-enum Recovery {
-    /// Roll back to this state, apply the retry plan, and re-enter the loop.
-    Retry(Box<TrainerState>, RetryPlan),
-    /// Retries exhausted (or nothing to restore): finish degraded, on the
-    /// carried state's parameters when one is available.
-    Degrade(Option<Box<TrainerState>>),
-}
-
-/// Per-phase driver for the guard layer: owns the health monitor, the
-/// retry/backoff policy, the fault-injection schedule, and an in-memory
-/// last-good snapshot (the rollback source when no checkpoint directory is
-/// configured). Constructed only when [`RConfig::guard`] is set; no method
-/// ever touches the RNG stream or reorders trainer computation, which is
-/// what keeps a fault-free guarded run bit-identical to an unguarded one.
-struct GuardDriver<'r> {
-    cfg: GuardConfig,
-    monitor: HealthMonitor,
-    policy: RecoveryPolicy,
-    faults: FaultPlan,
-    rec: &'r dyn Recorder,
-    /// `nonfinite_grad_steps` baseline; the per-epoch delta is what trips.
-    grad_base: u64,
-    last_good: Option<TrainerState>,
-}
-
-impl<'r> GuardDriver<'r> {
-    /// `None` when the config has no guard section. Fault injection is only
-    /// armed for the clustering phase (`RGAE_FAULT` epochs are clustering
-    /// epochs); the pretrain driver still runs the health checks.
-    fn new(
-        cfg: Option<&GuardConfig>,
-        rec: &'r dyn Recorder,
-        model: &dyn GaeModel,
-        arm_faults: bool,
-    ) -> Option<Self> {
-        let cfg = cfg?.clone();
-        let specs = if arm_faults {
-            cfg.faults.clone()
-        } else {
-            Vec::new()
-        };
-        Some(GuardDriver {
-            monitor: HealthMonitor::new(cfg.clone()),
-            policy: RecoveryPolicy::new(cfg.max_retries, cfg.lr_backoff),
-            faults: FaultPlan::new(specs),
-            rec,
-            grad_base: model.nonfinite_grad_steps(),
-            last_good: None,
-            cfg,
-        })
-    }
-
-    /// Fire the fault injections scheduled for `epoch`, logging one event
-    /// per fault. Each spec fires at most once — the fired flags live in
-    /// this driver, outside the retry loop, so a rollback past the fault
-    /// epoch does not re-inject it.
-    fn faults_due(&mut self, phase: &str, epoch: usize) -> Vec<FaultKind> {
-        let due = self.faults.take_due(epoch);
-        for kind in &due {
-            emit_finding(
-                self.rec,
-                phase,
-                Some(epoch),
-                &Finding {
-                    kind: "fault_injected",
-                    severity: Severity::Info,
-                    value: None,
-                    threshold: None,
-                    detail: format!("injecting {} at epoch {epoch}", kind.as_str()),
-                },
-            );
-        }
-        due
-    }
-
-    /// The per-epoch trip checks: loss health and the skipped-gradient
-    /// delta (both O(1)), plus — on snapshot epochs (`scan`) — the O(model)
-    /// parameter scan. Returns the exported parameter state when the scan
-    /// ran (the caller reuses it for checkpointing) and whether any check
-    /// tripped. Every state that later becomes a rollback target passes
-    /// through the scan first, so a healthy snapshot is never poisoned.
-    fn check_core(
-        &mut self,
-        phase: &str,
-        epoch: usize,
-        loss: f64,
-        model: &dyn GaeModel,
-        scan: bool,
-    ) -> (Option<ModelState>, bool) {
-        let mut tripped = false;
-        if let Some(f) = self.monitor.observe_loss(loss) {
-            tripped |= f.is_trip();
-            emit_finding(self.rec, phase, Some(epoch), &f);
-        }
-        let now = model.nonfinite_grad_steps();
-        let delta = now.saturating_sub(self.grad_base);
-        self.grad_base = now;
-        if let Some(f) = self.monitor.observe_grad_skips(delta) {
-            tripped |= f.is_trip();
-            emit_finding(self.rec, phase, Some(epoch), &f);
-        }
-        if !scan {
-            return (None, tripped);
-        }
-        let exported = model.export_params();
-        let all_finite = !self.cfg.check_params || exported.all_finite();
-        if let Some(f) = self.monitor.observe_param_scan(all_finite) {
-            tripped |= f.is_trip();
-            emit_finding(self.rec, phase, Some(epoch), &f);
-        }
-        (Some(exported), tripped)
-    }
-
-    /// Whether this epoch does the O(model) guard work — the parameter scan
-    /// and the rollback-snapshot refresh: the configured cadence, or a
-    /// pending checkpoint save.
-    fn snapshot_due(&self, epoch: usize, due_save: bool) -> bool {
-        due_save || (epoch + 1).is_multiple_of(self.cfg.snapshot_every.max(1))
-    }
-
-    /// The advisory (warn-level) checks: soft-assignment cluster collapse
-    /// and a degenerate |Ω|. Never trip — they only annotate the run log.
-    fn warn_checks(
-        &mut self,
-        phase: &str,
-        epoch: usize,
-        p: Option<&rgae_linalg::Mat>,
-        omega: Option<(usize, usize)>,
-    ) {
-        if let Some(p) = p {
-            if let Some(f) = self.monitor.observe_assignments(p) {
-                emit_finding(self.rec, phase, Some(epoch), &f);
-            }
-        }
-        if let Some((len, n)) = omega {
-            if let Some(f) = self.monitor.observe_omega(len, n) {
-                emit_finding(self.rec, phase, Some(epoch), &f);
-            }
-        }
-    }
-
-    /// Remember a healthy epoch's state as the in-memory rollback fallback
-    /// (used when no checkpoint store is configured, or when every on-disk
-    /// generation turns out unreadable).
-    fn note_healthy(&mut self, st: TrainerState) {
-        self.last_good = Some(st);
-    }
-
-    fn emit_recovery(
-        &self,
-        action: &str,
-        phase: &str,
-        epoch: usize,
-        attempt: usize,
-        lr_scale: f64,
-        detail: String,
-    ) {
-        if self.rec.enabled() {
-            self.rec.record(&Event::Recovery {
-                action: action.into(),
-                phase: phase.into(),
-                epoch: Some(epoch),
-                attempt,
-                lr_scale,
-                detail,
-            });
-        }
-    }
-
-    /// Decide what to do about a tripped epoch: pick a rollback source (the
-    /// newest readable on-disk generation of the matching phase, else the
-    /// in-memory last-good), consume a retry from the policy, and log the
-    /// decision. The caller restores the returned state and re-enters its
-    /// loop (`Retry`) or finishes on the last-good parameters (`Degrade`).
-    fn recover(
-        &mut self,
-        saver: Option<&Saver<'_>>,
-        variant: u8,
-        clustering: bool,
-        phase: &str,
-        epoch: usize,
-    ) -> Recovery {
-        let from_disk = saver
-            .and_then(|s| s.load_for_rollback(variant))
-            .filter(|st| matches!(st.phase, Phase::Clustering { .. }) == clustering);
-        let source = if from_disk.is_some() {
-            "checkpoint"
-        } else {
-            "memory"
-        };
-        let Some(state) = from_disk.or_else(|| self.last_good.clone()) else {
-            self.emit_recovery(
-                "degraded",
-                phase,
-                epoch,
-                self.policy.attempts(),
-                self.policy.lr_scale(),
-                "no healthy state to roll back to; finishing on current parameters".to_owned(),
-            );
-            return Recovery::Degrade(None);
-        };
-        match self.policy.next_retry() {
-            Some(plan) => {
-                let resume_at = state.phase.next_epoch().unwrap_or(0);
-                self.emit_recovery(
-                    "rollback",
-                    phase,
-                    epoch,
-                    plan.attempt,
-                    self.policy.lr_scale(),
-                    format!(
-                        "rolled back to {source} state at {} epoch {resume_at}",
-                        state.phase.name()
-                    ),
-                );
-                self.emit_recovery(
-                    "retry",
-                    phase,
-                    epoch,
-                    plan.attempt,
-                    self.policy.lr_scale(),
-                    format!(
-                        "retrying from epoch {resume_at}: lr scaled to {:.3e} of base, RNG reseeded",
-                        self.policy.lr_scale()
-                    ),
-                );
-                self.monitor.reset();
-                Recovery::Retry(Box::new(state), plan)
-            }
-            None => {
-                self.emit_recovery(
-                    "degraded",
-                    phase,
-                    epoch,
-                    self.policy.attempts(),
-                    self.policy.lr_scale(),
-                    format!("retries exhausted; finishing on last-good {source} state"),
-                );
-                Recovery::Degrade(Some(Box::new(state)))
-            }
-        }
-    }
-}
-
 /// Log an Ω-degeneracy guard event. Emitted whether or not the guard layer
 /// is enabled — these are structural conditions of the Ξ operator, and
 /// logging them does not perturb any computation.
@@ -682,6 +473,14 @@ fn emit_omega_guard(rec: &dyn Recorder, kind: &str, epoch: usize, detail: &str) 
             threshold: None,
             detail: detail.to_owned(),
         });
+    }
+}
+
+/// Log one clustering epoch: its record and the `omega_size` gauge.
+fn emit_epoch(rec: &dyn Recorder, e: &EpochRecord) {
+    if rec.enabled() {
+        rec.record(&Event::Epoch(e.to_event()));
+        rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
     }
 }
 
@@ -733,130 +532,30 @@ impl<'a> RTrainer<'a> {
         self.rec
     }
 
+    /// Validate and apply the configuration, open the checkpoint store and
+    /// load the state to resume from.
+    fn enter(&self) -> Result<(Ctx<'_>, Option<Saver<'_>>, Option<TrainerState>)> {
+        apply_config(&self.cfg)?;
+        let saver = Saver::open(self.ckpt.as_ref(), self.rec)?;
+        let resumed = saver.as_ref().and_then(|s| s.load_for_resume(VARIANT_R));
+        let ctx = Ctx {
+            cfg: &self.cfg,
+            rec: self.rec,
+            variant: VARIANT_R,
+        };
+        Ok((ctx, saver, resumed))
+    }
+
     /// Pretrain only (vanilla reconstruction + head initialisation). Useful
     /// when several variants must share the same pretrained weights.
-    // `mut_range_bound`: the guard rollback updates the loop's start epoch
-    // and re-enters it via `continue 'attempts`, where the bound IS re-read.
-    #[allow(clippy::mut_range_bound)]
     pub fn pretrain(
         &self,
         model: &mut dyn GaeModel,
         data: &TrainData,
         rng: &mut Rng64,
     ) -> Result<()> {
-        apply_thread_config(&self.cfg);
-        let mut saver = Saver::open(self.ckpt.as_ref(), self.rec)?;
-        let mut start = 0usize;
-        if let Some(s) = saver.as_ref() {
-            if let Some(st) = s.load_for_resume(VARIANT_R) {
-                match st.phase {
-                    Phase::Pretrain { next_epoch } => {
-                        model.import_params(&st.model)?;
-                        *rng = st.rng();
-                        start = next_epoch;
-                    }
-                    // Pretraining (and head init) already finished; the
-                    // clustering phase restores itself from the same store.
-                    Phase::Clustering { .. } | Phase::Done => return Ok(()),
-                }
-            }
-        }
-        let spec = StepSpec::pretrain(Rc::clone(&data.adjacency));
-        let mut guard = GuardDriver::new(self.cfg.guard.as_ref(), self.rec, model, false);
-        // Phase-entry seed: a trip before the first snapshot-cadence epoch
-        // rolls back to the initial weights instead of degrading.
-        if let Some(g) = guard.as_mut() {
-            g.note_healthy(TrainerState::new(
-                VARIANT_R,
-                Phase::Pretrain { next_epoch: start },
-                model.export_params(),
-                rng,
-            ));
-        }
-        {
-            let _pretrain = span(self.rec, "pretrain");
-            'attempts: loop {
-                for epoch in start..self.cfg.pretrain_epochs {
-                    let loss = model.train_step(data, &spec, rng)?;
-                    let mut exported: Option<ModelState> = None;
-                    let mut snap = false;
-                    if let Some(g) = guard.as_mut() {
-                        let next = epoch + 1;
-                        snap = g.snapshot_due(
-                            epoch,
-                            saver
-                                .as_ref()
-                                .is_some_and(|s| s.due(next) && next < self.cfg.pretrain_epochs),
-                        );
-                        let (state, tripped) = g.check_core("pretrain", epoch, loss, model, snap);
-                        exported = state;
-                        if tripped {
-                            match g.recover(saver.as_ref(), VARIANT_R, false, "pretrain", epoch) {
-                                Recovery::Retry(st, plan) => {
-                                    model.import_params(&st.model)?;
-                                    model.scale_lr(plan.lr_scale);
-                                    *rng = st.rng();
-                                    rng.reseed_with(plan.reseed_salt);
-                                    start = st.phase.next_epoch().unwrap_or(0);
-                                    continue 'attempts;
-                                }
-                                Recovery::Degrade(st) => {
-                                    // Pretrain degradation is not terminal for
-                                    // the run: restore the last-good weights
-                                    // (when any) and proceed to head init —
-                                    // the clustering phase may still recover.
-                                    if let Some(st) = st {
-                                        model.import_params(&st.model)?;
-                                        *rng = st.rng();
-                                    }
-                                    break 'attempts;
-                                }
-                            }
-                        }
-                    }
-                    let next = epoch + 1;
-                    let due_save = saver
-                        .as_ref()
-                        .is_some_and(|s| s.due(next) && next < self.cfg.pretrain_epochs);
-                    if snap || due_save {
-                        let st = TrainerState::new(
-                            VARIANT_R,
-                            Phase::Pretrain { next_epoch: next },
-                            exported.take().unwrap_or_else(|| model.export_params()),
-                            rng,
-                        );
-                        if due_save {
-                            if let Some(s) = saver.as_mut() {
-                                s.save(&st)?;
-                                if guard.is_some() {
-                                    s.mark_healthy(&st)?;
-                                }
-                            }
-                        }
-                        if let Some(g) = guard.as_mut() {
-                            g.note_healthy(st);
-                        }
-                    }
-                }
-                break 'attempts;
-            }
-        }
-        {
-            let _init = span(self.rec, "init_head");
-            model.init_clustering(data, rng)?;
-        }
-        // Phase-boundary save: pretraining + head init are the expensive
-        // prefix shared by every resume, so always persist them.
-        if let Some(s) = saver.as_mut() {
-            let st = TrainerState::new(
-                VARIANT_R,
-                Phase::Clustering { next_epoch: 0 },
-                model.export_params(),
-                rng,
-            );
-            s.save(&st)?;
-        }
-        Ok(())
+        let (ctx, mut saver, resumed) = self.enter()?;
+        pretrain_phase(ctx, model, data, rng, &mut saver, resumed).map(drop)
     }
 
     /// Full R run: pretraining, then the Ξ/Υ clustering phase.
@@ -872,9 +571,6 @@ impl<'a> RTrainer<'a> {
     }
 
     /// The clustering phase alone (assumes pretraining already ran).
-    // `mut_range_bound`: the guard rollback updates the loop's start epoch
-    // and re-enters it via `continue 'attempts`, where the bound IS re-read.
-    #[allow(clippy::too_many_lines, clippy::mut_range_bound)]
     pub fn train_clustering_phase(
         &self,
         model: &mut dyn GaeModel,
@@ -882,544 +578,29 @@ impl<'a> RTrainer<'a> {
         data: &TrainData,
         rng: &mut Rng64,
     ) -> Result<RReport> {
-        let cfg = &self.cfg;
-        let rec = self.rec;
-        apply_thread_config(cfg);
-        if rec.enabled() {
+        let (ctx, mut saver, resumed) = self.enter()?;
+        if self.rec.enabled() {
             // Scope the kernel timing table to this run.
             let _ = rgae_par::take_kernel_stats();
         }
-        let truth = graph.labels();
-        let n = data.num_nodes;
-        let all_nodes: Vec<usize> = (0..n).collect();
-
-        let mut saver = Saver::open(self.ckpt.as_ref(), rec)?;
-        let mut resumed = saver.as_ref().and_then(|s| s.load_for_resume(VARIANT_R));
-        if resumed
-            .as_ref()
-            .is_some_and(|st| matches!(st.phase, Phase::Pretrain { .. }))
-        {
-            // Mid-pretraining state belongs to `pretrain`; reaching here
-            // without it means the caller chose to skip resuming that phase,
-            // so the clustering phase starts fresh.
-            resumed = None;
-        }
-
-        // Fast-forward: the stored run already finished. Rebuild its report
-        // and replay its events so a resumed log is still complete.
-        if resumed.as_ref().is_some_and(|st| st.phase == Phase::Done) {
-            let st = resumed.take().unwrap();
-            if let (Some(pm), Some(fm)) = (st.pretrain_metrics, st.final_metrics) {
-                model.import_params(&st.model)?;
-                *rng = st.rng();
-                let final_graph = st
-                    .a_self
-                    .as_ref()
-                    .map_or_else(|| Rc::clone(&data.adjacency), |a| Rc::new(a.clone()));
-                let snapshots = st.r_snapshots(&final_graph);
-                if rec.enabled() {
-                    for e in &st.epochs {
-                        rec.record(&Event::Epoch(e.to_event()));
-                        rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-                    }
-                    if let Some(epoch) = st.converged_at {
-                        rec.record(&Event::Convergence { epoch });
-                    }
-                    rec.record(&Event::RunEnd(RunSummary {
-                        train_seconds: st.elapsed_seconds,
-                        converged_at: st.converged_at,
-                        epochs_run: st.epochs.len(),
-                        final_acc: fm.acc,
-                        final_nmi: fm.nmi,
-                        final_ari: fm.ari,
-                        degraded: st.degraded,
-                    }));
-                }
-                return Ok(RReport {
-                    pretrain_metrics: pm,
-                    final_metrics: fm,
-                    converged_at: st.converged_at,
-                    epochs: st.epochs,
-                    train_seconds: st.elapsed_seconds,
-                    final_graph,
-                    snapshots,
-                    degraded: st.degraded,
-                });
-            }
-            // A finished state missing its metrics is unusable: run fresh.
-        }
-
-        let mut a_self: Rc<Csr> = Rc::clone(&data.adjacency);
-        let mut omega = Omega {
-            indices: all_nodes.clone(),
-            lambda1: vec![1.0; n],
-            lambda2: vec![0.0; n],
-        };
-        let mut epochs: Vec<EpochRecord> = Vec::new();
-        let mut snapshots: Vec<(usize, rgae_linalg::Mat, Rc<Csr>)> = Vec::new();
-        let mut converged_at = None;
-        let mut start_epoch = 0usize;
-        let mut elapsed_base = 0.0;
-        let mut restored_pretrain_metrics: Option<Metrics> = None;
-
-        if let Some(st) = resumed {
-            // Mid-clustering resume: restore every mutable input of the loop
-            // at the saved epoch boundary, then replay the stored epoch
-            // events (a fresh run log starts empty).
-            model.import_params(&st.model)?;
-            *rng = st.rng();
-            if let Some(a) = st.a_self.clone() {
-                a_self = Rc::new(a);
-            }
-            snapshots = st.r_snapshots(&a_self);
-            if let Some(o) = st.omega {
-                omega = o;
-            }
-            converged_at = st.converged_at;
-            restored_pretrain_metrics = st.pretrain_metrics;
-            elapsed_base = st.elapsed_seconds;
-            if rec.enabled() {
-                for e in &st.epochs {
-                    rec.record(&Event::Epoch(e.to_event()));
-                    rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-                }
-            }
-            epochs = st.epochs;
-            start_epoch = st.phase.next_epoch().unwrap_or(0);
-        }
-
-        // The phase-boundary checkpoint precedes this evaluation, so a
-        // resume from it re-consumes the RNG stream exactly like a fresh
-        // run; mid-clustering checkpoints carry the metrics instead.
-        let pretrain_metrics = match restored_pretrain_metrics {
-            Some(m) => m,
-            None => {
-                let _eval = span(rec, "eval");
-                evaluate_traced(model, data, truth, rng, rec)?
-            }
-        };
-
-        let clustering = span(rec, "clustering");
-        let phase_start = std::time::Instant::now();
-        let mut guard = GuardDriver::new(cfg.guard.as_ref(), rec, model, true);
-        let mut degraded = false;
-
-        // Table 7 protection variant: one-shot Υ(A, P, 𝒱) before training.
-        // Mid-clustering resumes restore the transformed graph instead.
-        if start_epoch == 0 && cfg.use_upsilon && cfg.fd_mode == FdMode::SingleStepProtection {
-            let _upsilon = span(rec, "upsilon");
-            let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
-            let z = model.embed(data);
-            let out = upsilon(&data.adjacency, &p, &z, &all_nodes, &cfg.upsilon)?;
-            rec.count("edges_added", out.added.len() as u64);
-            rec.count("edges_dropped", out.dropped.len() as u64);
-            a_self = Rc::new(out.graph);
-        }
-
-        // Seed the in-memory rollback target with the phase-entry state so
-        // a guard tripped before the first snapshot-cadence epoch still has
-        // somewhere safe to land. (Placed after the one-shot Υ above: that
-        // transform runs once per run, so a rollback must not precede it.)
-        if let Some(g) = guard.as_mut() {
-            let mut st = TrainerState::new(
-                VARIANT_R,
-                Phase::Clustering {
-                    next_epoch: start_epoch,
-                },
-                model.export_params(),
-                rng,
-            );
-            st.omega = Some(omega.clone());
-            st.a_self = Some((*a_self).clone());
-            st.converged_at = converged_at;
-            st.pretrain_metrics = Some(pretrain_metrics);
-            st.epochs = epochs.clone();
-            st.snapshots = snapshots
-                .iter()
-                .map(|(e, z, a)| (*e, z.clone(), Some((**a).clone())))
-                .collect();
-            st.elapsed_seconds = elapsed_base;
-            g.note_healthy(st);
-        }
-
-        'attempts: loop {
-            for epoch in start_epoch..cfg.max_epochs {
-                if cfg.snapshot_epochs.contains(&epoch) {
-                    snapshots.push((epoch, model.embed(data), Rc::clone(&a_self)));
-                }
-                let xi_active = cfg.use_xi && epoch >= cfg.delay_xi;
-
-                // Refresh Ω every M₁ epochs (Ω = 𝒱 while Ξ is inactive).
-                if epoch % cfg.m1 == 0 {
-                    if xi_active {
-                        let _xi = span(rec, "xi");
-                        let p = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
-                        let candidate = xi(&p, &cfg.xi)?;
-                        if candidate.is_empty() {
-                            emit_omega_guard(
-                                rec,
-                                "degenerate_omega",
-                                epoch,
-                                "Xi returned an empty Omega; keeping the previous one",
-                            );
-                        } else {
-                            omega = candidate;
-                        }
-                    } else {
-                        omega = Omega {
-                            indices: all_nodes.clone(),
-                            lambda1: vec![1.0; n],
-                            lambda2: vec![0.0; n],
-                        };
-                    }
-                }
-
-                // Refresh A^self_clus every M₂ epochs (gradual correction).
-                if cfg.use_upsilon
-                    && cfg.fd_mode == FdMode::GradualCorrection
-                    && epoch % cfg.m2 == 0
-                {
-                    let _upsilon = span(rec, "upsilon");
-                    let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
-                    let z = model.embed(data);
-                    let out = upsilon(&data.adjacency, &p, &z, &omega.indices, &cfg.upsilon)?;
-                    rec.count("edges_added", out.added.len() as u64);
-                    rec.count("edges_dropped", out.dropped.len() as u64);
-                    a_self = Rc::new(out.graph);
-                }
-
-                // One optimisation step, with any scheduled fault injections.
-                let due_faults = guard
-                    .as_mut()
-                    .map_or_else(Vec::new, |g| g.faults_due("clustering", epoch));
-                let step_t = span(rec, "step");
-                let cluster = match model.cluster_target(data)? {
-                    // |Ω| = 0 would make the clustering loss an empty-set
-                    // reduction; skip the term this epoch instead.
-                    Some(_) if omega.is_empty() => {
-                        emit_omega_guard(
-                            rec,
-                            "empty_omega",
-                            epoch,
-                            "|Omega| = 0: skipping the clustering-loss term this epoch",
-                        );
-                        None
-                    }
-                    Some(target) => Some(ClusterStep {
-                        target,
-                        omega: if omega.len() < n {
-                            Some(omega.indices.clone())
-                        } else {
-                            None
-                        },
-                    }),
-                    None => None,
-                };
-                let spec = StepSpec {
-                    recon_target: Some(Rc::clone(&a_self)),
-                    gamma: cfg.gamma,
-                    cluster,
-                };
-                let poison = due_faults.contains(&FaultKind::NanGrad);
-                if poison {
-                    arm_grad_poison();
-                }
-                let step_result = model.train_step(data, &spec, rng);
-                if poison {
-                    disarm_grad_poison();
-                }
-                let mut loss = step_result?;
-                step_t.stop();
-                for kind in &due_faults {
-                    match kind {
-                        FaultKind::InfLoss => loss = f64::INFINITY,
-                        FaultKind::NanLoss => loss = f64::NAN,
-                        FaultKind::CorruptCkpt => {
-                            if let Some(s) = saver.as_ref() {
-                                s.corrupt_latest(epoch as u64)?;
-                            }
-                        }
-                        FaultKind::NanGrad => {}
-                    }
-                }
-
-                // Trip checks run before any bookkeeping: a tripped epoch
-                // contributes no record, no convergence, and no save.
-                let mut exported: Option<ModelState> = None;
-                let mut snap = false;
-                if let Some(g) = guard.as_mut() {
-                    snap = g.snapshot_due(epoch, saver.as_ref().is_some_and(|s| s.due(epoch + 1)));
-                    let (state, tripped) = g.check_core("clustering", epoch, loss, model, snap);
-                    exported = state;
-                    if tripped {
-                        match g.recover(saver.as_ref(), VARIANT_R, true, "clustering", epoch) {
-                            Recovery::Retry(st, plan) => {
-                                model.import_params(&st.model)?;
-                                model.scale_lr(plan.lr_scale);
-                                *rng = st.rng();
-                                rng.reseed_with(plan.reseed_salt);
-                                a_self = st.a_self.as_ref().map_or_else(
-                                    || Rc::clone(&data.adjacency),
-                                    |a| Rc::new(a.clone()),
-                                );
-                                snapshots = st.r_snapshots(&a_self);
-                                omega = st.omega.clone().unwrap_or_else(|| Omega {
-                                    indices: all_nodes.clone(),
-                                    lambda1: vec![1.0; n],
-                                    lambda2: vec![0.0; n],
-                                });
-                                converged_at = st.converged_at;
-                                epochs = st.epochs.clone();
-                                start_epoch = st.phase.next_epoch().unwrap_or(0);
-                                continue 'attempts;
-                            }
-                            Recovery::Degrade(st) => {
-                                if let Some(st) = st {
-                                    model.import_params(&st.model)?;
-                                    *rng = st.rng();
-                                    a_self = st.a_self.as_ref().map_or_else(
-                                        || Rc::clone(&data.adjacency),
-                                        |a| Rc::new(a.clone()),
-                                    );
-                                    snapshots = st.r_snapshots(&a_self);
-                                    converged_at = st.converged_at;
-                                    epochs = st.epochs.clone();
-                                }
-                                degraded = true;
-                                break 'attempts;
-                            }
-                        }
-                    }
-                }
-
-                // This epoch ends the run either by convergence (|Ω| ≥ 0.9N,
-                // checked on the Ω that drove the step) or by exhausting the
-                // budget; both force a full evaluation so the last record
-                // always carries metrics regardless of `eval_every`.
-                let converging = converged_at.is_none()
-                    && epoch >= cfg.min_epochs
-                    && omega.coverage(n) >= cfg.convergence;
-                let last_epoch = converging || epoch + 1 == cfg.max_epochs;
-
-                // Bookkeeping.
-                let (record, p) = {
-                    let _record = span(rec, "record");
-                    self.record_epoch(
-                        model, data, graph, epoch, loss, &omega, &a_self, rng, last_epoch,
-                    )?
-                };
-                if rec.enabled() {
-                    rec.record(&Event::Epoch(record.to_event()));
-                    rec.gauge("omega_size", Some(epoch), omega.len() as f64);
-                }
-                epochs.push(record);
-                if let Some(g) = guard.as_mut() {
-                    g.warn_checks("clustering", epoch, Some(&p), Some((omega.len(), n)));
-                }
-
-                if converging {
-                    converged_at = Some(epoch);
-                    if rec.enabled() {
-                        rec.record(&Event::Convergence { epoch });
-                    }
-                }
-
-                let due_save = saver
-                    .as_ref()
-                    .is_some_and(|s| !last_epoch && s.due(epoch + 1));
-                if snap || due_save {
-                    let mut st = TrainerState::new(
-                        VARIANT_R,
-                        Phase::Clustering {
-                            next_epoch: epoch + 1,
-                        },
-                        exported.take().unwrap_or_else(|| model.export_params()),
-                        rng,
-                    );
-                    st.omega = Some(omega.clone());
-                    st.a_self = Some((*a_self).clone());
-                    st.converged_at = converged_at;
-                    st.pretrain_metrics = Some(pretrain_metrics);
-                    st.epochs = epochs.clone();
-                    st.snapshots = snapshots
-                        .iter()
-                        .map(|(e, z, a)| (*e, z.clone(), Some((**a).clone())))
-                        .collect();
-                    st.elapsed_seconds = elapsed_base + phase_start.elapsed().as_secs_f64();
-                    if due_save {
-                        if let Some(s) = saver.as_mut() {
-                            s.save(&st)?;
-                            if guard.is_some() {
-                                s.mark_healthy(&st)?;
-                            }
-                        }
-                    }
-                    if let Some(g) = guard.as_mut() {
-                        g.note_healthy(st);
-                    }
-                }
-
-                if converging {
-                    break;
-                }
-            }
-            break 'attempts;
-        }
-        let train_seconds = elapsed_base + clustering.stop();
-        // Requested snapshots at or past the end of the run collapse into
-        // one final snapshot labelled with the actual epoch count — on early
-        // convergence that is the convergence epoch + 1, not `max_epochs`.
-        let end_epoch = epochs.last().map_or(0, |e| e.epoch + 1);
-        if cfg.snapshot_epochs.iter().any(|&e| e >= end_epoch)
-            && !snapshots.iter().any(|s| s.0 == end_epoch)
-        {
-            snapshots.push((end_epoch, model.embed(data), Rc::clone(&a_self)));
-        }
-        let final_metrics = {
-            let _eval = span(rec, "eval");
-            evaluate_traced(model, data, truth, rng, rec)?
-        };
-        if rec.enabled() {
-            rec.record(&Event::RunEnd(RunSummary {
-                train_seconds,
-                converged_at,
-                epochs_run: epochs.len(),
-                final_acc: final_metrics.acc,
-                final_nmi: final_metrics.nmi,
-                final_ari: final_metrics.ari,
-                degraded,
-            }));
-            flush_kernel_stats(rec);
-        }
-        if let Some(s) = saver.as_mut() {
-            let mut st = TrainerState::new(VARIANT_R, Phase::Done, model.export_params(), rng);
-            st.a_self = Some((*a_self).clone());
-            st.converged_at = converged_at;
-            st.pretrain_metrics = Some(pretrain_metrics);
-            st.final_metrics = Some(final_metrics);
-            st.epochs = epochs.clone();
-            st.snapshots = snapshots
-                .iter()
-                .map(|(e, z, a)| (*e, z.clone(), Some((**a).clone())))
-                .collect();
-            st.elapsed_seconds = train_seconds;
-            st.degraded = degraded;
-            s.save(&st)?;
-        }
-        Ok(RReport {
-            pretrain_metrics,
-            final_metrics,
-            converged_at,
-            epochs,
-            train_seconds,
-            final_graph: a_self,
-            snapshots,
-            degraded,
-        })
-    }
-
-    /// Per-epoch bookkeeping. Also returns the soft assignments `P` it
-    /// computed (the epoch's only RNG consumer), so the guard layer can run
-    /// its cluster-collapse check without consuming the stream again.
-    #[allow(clippy::too_many_arguments)]
-    fn record_epoch(
-        &self,
-        model: &dyn GaeModel,
-        data: &TrainData,
-        graph: &AttributedGraph,
-        epoch: usize,
-        loss: f64,
-        omega: &Omega,
-        a_self: &Rc<Csr>,
-        rng: &mut Rng64,
-        force_eval: bool,
-    ) -> Result<(EpochRecord, rgae_linalg::Mat)> {
-        let cfg = &self.cfg;
-        let truth = graph.labels();
-        let n = data.num_nodes;
-
-        let eval_t = span(self.rec, "eval");
-        let p = soft_assignments_or_kmeans_traced(model, data, rng, self.rec)?;
-        let pred = p.row_argmax();
-
-        let eval_now = force_eval || epoch.is_multiple_of(cfg.eval_every);
-        let metrics = eval_now.then(|| Metrics::from_predictions(&pred, truth));
-
-        let omega_pred: Vec<usize> = omega.indices.iter().map(|&i| pred[i]).collect();
-        let omega_truth: Vec<usize> = omega.indices.iter().map(|&i| truth[i]).collect();
-        let omega_acc = if omega.is_empty() {
-            0.0
-        } else {
-            accuracy(&omega_pred, &omega_truth)
-        };
-        let rest: Vec<usize> = omega.complement(n);
-        let rest_pred: Vec<usize> = rest.iter().map(|&i| pred[i]).collect();
-        let rest_truth: Vec<usize> = rest.iter().map(|&i| truth[i]).collect();
-        let rest_acc = if rest.is_empty() {
-            1.0
-        } else {
-            accuracy(&rest_pred, &rest_truth)
-        };
-
-        // The graph scans are O(|E|) and purely diagnostic; skip them on
-        // non-eval epochs (none of this consumes the RNG stream).
-        let (graph_stats, added_links, dropped_links) = if eval_now {
-            let added = edge_diff(&data.adjacency, a_self);
-            let dropped = edge_diff(a_self, &data.adjacency);
-            (
-                Some(GraphStats::compute(a_self, truth)),
-                Some(split_links(&added, truth)),
-                Some(split_links(&dropped, truth)),
-            )
-        } else {
-            (None, None, None)
-        };
-        eval_t.stop();
-
-        let (mut fr_r, mut fr_full, mut fd_cur, mut fd_van) = (None, None, None, None);
-        if cfg.track_diagnostics {
-            let _diag = span(self.rec, "diagnostics");
-            let z = model.embed(data);
-            if let Some(target) = model.cluster_target(data)? {
-                fr_r = lambda_fr(model, data, &target, Some(&omega.indices), truth, self.rec)?;
-                fr_full = lambda_fr(model, data, &target, None, truth, self.rec)?;
-            }
-            let sup = supervised_graph(data, &z, &p, truth, self.rec)?;
-            fd_cur = Some(lambda_fd(model, data, a_self, &sup)?);
-            fd_van = Some(lambda_fd(model, data, &data.adjacency, &sup)?);
-        }
-
-        Ok((
-            EpochRecord {
-                epoch,
-                loss,
-                metrics,
-                omega_size: omega.len(),
-                omega_acc,
-                rest_acc,
-                graph_stats,
-                added_links,
-                dropped_links,
-                lambda_fr_restricted: fr_r,
-                lambda_fr_full: fr_full,
-                lambda_fd_current: fd_cur,
-                lambda_fd_vanilla: fd_van,
-            },
-            p,
-        ))
+        let done =
+            Clustering::new(ctx, data, graph.labels()).run(model, rng, &mut saver, resumed)?;
+        Ok(done.r_report())
     }
 }
 
-/// Apply the run's thread override to the `rgae-par` pool and its decoder
-/// tile override to the fused gram+BCE kernel (no-op when the config leaves
-/// the process defaults in place).
-fn apply_thread_config(cfg: &RConfig) {
+/// Validate the configuration, then apply its thread override to the
+/// `rgae-par` pool and its decoder tile override to the fused gram+BCE
+/// kernel (no-ops when the config leaves the process defaults in place).
+fn apply_config(cfg: &RConfig) -> Result<()> {
+    cfg.validate()?;
     if let Some(t) = cfg.threads {
         rgae_par::set_threads(Some(t));
     }
     if cfg.decoder_tile.is_some() {
         rgae_linalg::set_decoder_tile(cfg.decoder_tile);
     }
+    Ok(())
 }
 
 /// Drain the `rgae-par` per-kernel timing registry into the recorder:
@@ -1435,6 +616,540 @@ fn flush_kernel_stats(rec: &dyn Recorder) {
     let reuses = rgae_autodiff::take_constant_reuse_count();
     if reuses > 0 {
         rec.count("constant_shared_reuses", reuses);
+    }
+}
+
+/// Pretraining for either variant (they differ only in the state's variant
+/// tag): vanilla reconstruction from `resumed`'s epoch, head
+/// initialisation, and the phase-boundary save. A `resumed` state past
+/// pretraining (clustering or done) skips the phase and is handed back for
+/// the clustering phase to restore; otherwise returns `None`.
+fn pretrain_phase(
+    ctx: Ctx<'_>,
+    model: &mut dyn GaeModel,
+    data: &TrainData,
+    rng: &mut Rng64,
+    saver: &mut Option<Saver<'_>>,
+    resumed: Option<TrainerState>,
+) -> Result<Option<TrainerState>> {
+    if resumed
+        .as_ref()
+        .is_some_and(|st| !matches!(st.phase, Phase::Pretrain { .. }))
+    {
+        return Ok(resumed);
+    }
+    let mut body = Pretrain(Rc::clone(&data.adjacency));
+    let (mut at, mut elapsed_base) = (Phase::Pretrain { next_epoch: 0 }, 0.0);
+    if let Some(st) = &resumed {
+        restore(model, rng, &mut body, st)?;
+        (at, elapsed_base) = (st.phase, st.elapsed_seconds);
+    }
+    let mut phase = PhaseLoop::new(ctx, at, elapsed_base, model);
+    {
+        let _pretrain = span(ctx.rec, "pretrain");
+        // A degraded pretraining is not terminal for the run: the loop left
+        // the last-good weights (when any) in place, head init follows, and
+        // the clustering phase may still recover.
+        phase.run(model, data, rng, saver, &mut body)?;
+    }
+    {
+        let _init = span(ctx.rec, "init_head");
+        model.init_clustering(data, rng)?;
+    }
+    // Phase-boundary save: pretraining + head init are the expensive
+    // prefix shared by every resume, so always persist them.
+    if let Some(s) = saver.as_mut() {
+        let next = Phase::Clustering { next_epoch: 0 };
+        let st = TrainerState::new(ctx.variant, next, model.export_params(), rng);
+        s.save(&st)?;
+    }
+    Ok(None)
+}
+
+/// The pretraining body: reconstruct `A`, nothing else per epoch.
+struct Pretrain(Rc<Csr>);
+
+impl PhaseBody for Pretrain {
+    fn spec(&mut self, _model: &dyn GaeModel, _epoch: usize) -> Result<StepSpec> {
+        Ok(StepSpec::pretrain(Rc::clone(&self.0)))
+    }
+}
+
+/// The clustering-phase body of either variant. Plain 𝒟 keeps `Ω = 𝒱` and
+/// `A^self_clus = A` throughout and never converges early; R-𝒟 refreshes
+/// both (Ξ every M₁, Υ every M₂) and stops once `|Ω| ≥ convergence·N`.
+struct Clustering<'a> {
+    ctx: Ctx<'a>,
+    data: &'a TrainData,
+    truth: &'a [usize],
+    omega: Omega,
+    a_self: Rc<Csr>,
+    converged_at: Option<usize>,
+    pretrain_metrics: Option<Metrics>,
+    epochs: Vec<EpochRecord>,
+    /// `(epoch, Z, A^self_clus)`; the graph is `None` in plain runs.
+    snapshots: Vec<(usize, Mat, Option<Rc<Csr>>)>,
+}
+
+/// A finished clustering phase: the body's final state plus the run
+/// summary, the shape both reports are built from.
+struct Finished<'a> {
+    body: Clustering<'a>,
+    pretrain_metrics: Metrics,
+    final_metrics: Metrics,
+    train_seconds: f64,
+    degraded: bool,
+}
+
+impl<'a> Clustering<'a> {
+    fn new(ctx: Ctx<'a>, data: &'a TrainData, truth: &'a [usize]) -> Self {
+        Clustering {
+            ctx,
+            data,
+            truth,
+            omega: Omega::full(data.num_nodes),
+            a_self: Rc::clone(&data.adjacency),
+            converged_at: None,
+            pretrain_metrics: None,
+            epochs: Vec::new(),
+            snapshots: Vec::new(),
+        }
+    }
+
+    fn is_r(&self) -> bool {
+        self.ctx.variant == VARIANT_R
+    }
+
+    /// The clustering phase from `resumed` — a mid-clustering state, a
+    /// finished run to fast-forward, or (any other state, or `None`) a
+    /// fresh start: restore with event replay, the pretrain-metrics
+    /// evaluation, the epochs, and the finish.
+    fn run(
+        mut self,
+        model: &mut dyn GaeModel,
+        rng: &mut Rng64,
+        saver: &mut Option<Saver<'_>>,
+        resumed: Option<TrainerState>,
+    ) -> Result<Finished<'a>> {
+        let Ctx { cfg, rec, variant } = self.ctx;
+        let data = self.data;
+        // A mid-pretraining state belongs to `pretrain`: reaching here with
+        // one means the caller chose not to resume that phase.
+        let resumed = resumed.filter(|st| !matches!(st.phase, Phase::Pretrain { .. }));
+        let (mut at, mut elapsed_base) = (Phase::Clustering { next_epoch: 0 }, 0.0);
+        let mut pretrain_metrics = None;
+        if let Some(st) = &resumed {
+            // Restore every mutable input of the loop at the saved epoch
+            // boundary, then replay the stored epoch events so a resumed
+            // log is still complete.
+            restore(model, rng, &mut self, st)?;
+            self.epochs.iter().for_each(|e| emit_epoch(rec, e));
+            (at, elapsed_base) = (st.phase, st.elapsed_seconds);
+            pretrain_metrics = st.pretrain_metrics;
+        }
+        // The phase-boundary checkpoint precedes this evaluation, so a
+        // resume from it re-consumes the RNG stream exactly like a fresh
+        // run; later checkpoints carry the metrics instead.
+        let pretrain_metrics = match pretrain_metrics {
+            Some(m) => m,
+            None => {
+                let _eval = span(rec, "eval");
+                evaluate_traced(model, data, self.truth, rng, rec)?
+            }
+        };
+        self.pretrain_metrics = Some(pretrain_metrics);
+
+        // Fast-forward: the stored run already finished (only a `Done`
+        // state carries final metrics; decoding checks that).
+        if let Some((st, final_metrics)) = resumed.and_then(|st| st.final_metrics.map(|m| (st, m)))
+        {
+            if let (true, Some(epoch)) = (rec.enabled(), self.converged_at) {
+                rec.record(&Event::Convergence { epoch });
+            }
+            let done = Finished {
+                body: self,
+                pretrain_metrics,
+                final_metrics,
+                train_seconds: st.elapsed_seconds,
+                degraded: st.degraded,
+            };
+            done.emit_run_end();
+            return Ok(done);
+        }
+
+        let clustering = span(rec, "clustering");
+        let mut phase = PhaseLoop::new(self.ctx, at, elapsed_base, model);
+        // Table 7 protection variant: one-shot Υ(A, P, 𝒱) before training;
+        // later re-entries restore the transformed graph instead. It runs
+        // before the loop seeds its rollback target: the transform happens
+        // once per run, so a rollback must not precede it.
+        if self.is_r()
+            && at.next_epoch() == Some(0)
+            && cfg.use_upsilon
+            && cfg.fd_mode == FdMode::SingleStepProtection
+        {
+            let all: Vec<usize> = (0..data.num_nodes).collect();
+            self.a_self = self.upsilon_graph(model, rng, &all)?;
+        }
+        let degraded = phase.run(model, data, rng, saver, &mut self)?;
+        let train_seconds = elapsed_base + clustering.stop();
+
+        // Requested snapshots at or past the end of the run collapse into
+        // one final snapshot labelled with the actual epoch count — on early
+        // convergence that is the convergence epoch + 1, not `max_epochs`.
+        let end_epoch = self.epochs.last().map_or(0, |e| e.epoch + 1);
+        if cfg.snapshot_epochs.iter().any(|&e| e >= end_epoch)
+            && !self.snapshots.iter().any(|s| s.0 == end_epoch)
+        {
+            let graph = self.snapshot_graph();
+            self.snapshots.push((end_epoch, model.embed(data), graph));
+        }
+        let final_metrics = {
+            let _eval = span(rec, "eval");
+            evaluate_traced(model, data, self.truth, rng, rec)?
+        };
+        let done = Finished {
+            body: self,
+            pretrain_metrics,
+            final_metrics,
+            train_seconds,
+            degraded,
+        };
+        done.emit_run_end();
+        if rec.enabled() {
+            flush_kernel_stats(rec);
+        }
+        if let Some(s) = saver.as_mut() {
+            let mut st = TrainerState::new(variant, Phase::Done, model.export_params(), rng);
+            done.body.capture(&mut st);
+            st.final_metrics = Some(final_metrics);
+            st.elapsed_seconds = train_seconds;
+            st.degraded = degraded;
+            s.save(&st)?;
+        }
+        Ok(done)
+    }
+
+    /// The graph a snapshot records: A^self_clus for R-𝒟, none for plain.
+    fn snapshot_graph(&self) -> Option<Rc<Csr>> {
+        self.is_r().then(|| Rc::clone(&self.a_self))
+    }
+
+    /// `Υ(A, P, nodes)` on the current assignments, logged under an
+    /// `upsilon` span with its edge counts.
+    fn upsilon_graph(
+        &self,
+        model: &dyn GaeModel,
+        rng: &mut Rng64,
+        nodes: &[usize],
+    ) -> Result<Rc<Csr>> {
+        let Ctx { cfg, rec, .. } = self.ctx;
+        let _upsilon = span(rec, "upsilon");
+        let p = soft_assignments_or_kmeans_traced(model, self.data, rng, rec)?;
+        let z = model.embed(self.data);
+        let out = upsilon(&self.data.adjacency, &p, &z, nodes, &cfg.upsilon)?;
+        rec.count("edges_added", out.added.len() as u64);
+        rec.count("edges_dropped", out.dropped.len() as u64);
+        Ok(Rc::new(out.graph))
+    }
+
+    /// The epoch record: metrics, and for R-𝒟 the accuracy on Ω and on
+    /// 𝒱 − Ω and the links Υ added and dropped. With diagnostics on, Λ is
+    /// taken at R-𝒟's own Ω and A^self_clus; a plain run takes it at the Ω
+    /// and the Υ graph the R-model would use at the same θ. Also returns
+    /// the soft assignments `P` it computed (the epoch's only RNG consumer
+    /// besides plain diagnostics), so the guard layer can run its
+    /// cluster-collapse check without consuming the stream again.
+    fn record(
+        &self,
+        model: &dyn GaeModel,
+        rng: &mut Rng64,
+        epoch: usize,
+        loss: f64,
+        eval_now: bool,
+    ) -> Result<(EpochRecord, Mat)> {
+        let Ctx { cfg, rec, .. } = self.ctx;
+        let (data, truth, a_self, r) = (self.data, self.truth, &self.a_self, self.is_r());
+
+        let eval_t = span(rec, "eval");
+        let p = soft_assignments_or_kmeans_traced(model, data, rng, rec)?;
+        let pred = p.row_argmax();
+        let metrics = eval_now.then(|| Metrics::from_predictions(&pred, truth));
+        // Accuracy on Ω and on 𝒱 − Ω, and the links A^self_clus adds to
+        // and drops from A: R-𝒟 only, a plain run records zeros. The graph
+        // scans are O(|E|) and purely diagnostic, so they run on eval
+        // epochs only (none of this consumes the RNG stream).
+        let acc_on = |nodes: &[usize], empty: f64| {
+            let pick = |labels: &[usize]| nodes.iter().map(|&i| labels[i]).collect::<Vec<_>>();
+            if nodes.is_empty() {
+                empty
+            } else {
+                accuracy(&pick(&pred), &pick(truth))
+            }
+        };
+        let (omega_acc, rest_acc) = if r {
+            let rest = self.omega.complement(data.num_nodes);
+            (acc_on(&self.omega.indices, 0.0), acc_on(&rest, 1.0))
+        } else {
+            (0.0, 0.0)
+        };
+        let links = |a: &Csr, b: &Csr| {
+            eval_now.then(|| {
+                if r {
+                    split_links(&edge_diff(a, b), truth)
+                } else {
+                    (0, 0)
+                }
+            })
+        };
+        let graph_stats = eval_now.then(|| GraphStats::compute(a_self, truth));
+        let added_links = links(&data.adjacency, a_self);
+        let dropped_links = links(a_self, &data.adjacency);
+        eval_t.stop();
+
+        let (mut omega_size, mut fr_r, mut fr_full, mut fd_cur, mut fd_van) =
+            (self.omega.len(), None, None, None, None);
+        if cfg.track_diagnostics {
+            let _diag = span(rec, "diagnostics");
+            let plain_omega;
+            let omega = if r {
+                &self.omega
+            } else {
+                let p_xi = xi_assignments_or_kmeans_traced(model, data, rng, rec)?;
+                plain_omega = xi(&p_xi, &cfg.xi)?;
+                omega_size = plain_omega.len();
+                &plain_omega
+            };
+            let z = model.embed(data);
+            if let Some(target) = model.cluster_target(data)? {
+                if !omega.is_empty() {
+                    fr_r = lambda_fr(model, data, &target, Some(&omega.indices), truth, rec)?;
+                }
+                fr_full = lambda_fr(model, data, &target, None, truth, rec)?;
+            }
+            let sup = supervised_graph(data, &z, &p, truth, rec)?;
+            if r {
+                fd_cur = Some(lambda_fd(model, data, a_self, &sup)?);
+            } else if !omega.is_empty() {
+                let out = upsilon(&data.adjacency, &p, &z, &omega.indices, &cfg.upsilon)?;
+                fd_cur = Some(lambda_fd(model, data, &Rc::new(out.graph), &sup)?);
+            }
+            fd_van = Some(lambda_fd(model, data, &data.adjacency, &sup)?);
+        }
+
+        let record = EpochRecord {
+            epoch,
+            loss,
+            metrics,
+            omega_size,
+            omega_acc,
+            rest_acc,
+            graph_stats,
+            added_links,
+            dropped_links,
+            lambda_fr_restricted: fr_r,
+            lambda_fr_full: fr_full,
+            lambda_fd_current: fd_cur,
+            lambda_fd_vanilla: fd_van,
+        };
+        Ok((record, p))
+    }
+}
+
+impl PhaseBody for Clustering<'_> {
+    fn before_step(&mut self, model: &dyn GaeModel, rng: &mut Rng64, epoch: usize) -> Result<()> {
+        let Ctx { cfg, rec, .. } = self.ctx;
+        if cfg.snapshot_epochs.contains(&epoch) {
+            let graph = self.snapshot_graph();
+            self.snapshots.push((epoch, model.embed(self.data), graph));
+        }
+        if !self.is_r() {
+            return Ok(());
+        }
+        // Refresh Ω every M₁ epochs (Ω = 𝒱 while Ξ is inactive).
+        if epoch.is_multiple_of(cfg.m1) {
+            if cfg.use_xi && epoch >= cfg.delay_xi {
+                let _xi = span(rec, "xi");
+                let p = xi_assignments_or_kmeans_traced(model, self.data, rng, rec)?;
+                let candidate = xi(&p, &cfg.xi)?;
+                if candidate.is_empty() {
+                    emit_omega_guard(
+                        rec,
+                        "degenerate_omega",
+                        epoch,
+                        "Xi returned an empty Omega; keeping the previous one",
+                    );
+                } else {
+                    self.omega = candidate;
+                }
+            } else {
+                self.omega = Omega::full(self.data.num_nodes);
+            }
+        }
+        // Refresh A^self_clus every M₂ epochs (gradual correction).
+        if cfg.use_upsilon
+            && cfg.fd_mode == FdMode::GradualCorrection
+            && epoch.is_multiple_of(cfg.m2)
+        {
+            self.a_self = self.upsilon_graph(model, rng, &self.omega.indices)?;
+        }
+        Ok(())
+    }
+
+    fn spec(&mut self, model: &dyn GaeModel, epoch: usize) -> Result<StepSpec> {
+        let n = self.data.num_nodes;
+        let cluster = match model.cluster_target(self.data)? {
+            // |Ω| = 0 would make the clustering loss an empty-set
+            // reduction; skip the term this epoch instead.
+            Some(_) if self.omega.is_empty() => {
+                emit_omega_guard(
+                    self.ctx.rec,
+                    "empty_omega",
+                    epoch,
+                    "|Omega| = 0: skipping the clustering-loss term this epoch",
+                );
+                None
+            }
+            Some(target) => Some(ClusterStep {
+                target,
+                omega: (self.omega.len() < n).then(|| self.omega.indices.clone()),
+            }),
+            None => None,
+        };
+        Ok(StepSpec {
+            recon_target: Some(Rc::clone(&self.a_self)),
+            gamma: self.ctx.cfg.gamma,
+            cluster,
+        })
+    }
+
+    fn end_epoch(
+        &mut self,
+        model: &dyn GaeModel,
+        rng: &mut Rng64,
+        epoch: usize,
+        loss: f64,
+        guard: Option<&mut GuardDriver<'_>>,
+    ) -> Result<bool> {
+        let Ctx { cfg, rec, .. } = self.ctx;
+        let n = self.data.num_nodes;
+        // R-𝒟 ends the run on convergence (|Ω| ≥ 0.9N, checked on the Ω
+        // that drove the step). Convergence and the budget's last epoch
+        // both force a full evaluation, so the closing record always
+        // carries metrics whatever `eval_every` says.
+        let converging = self.is_r()
+            && self.converged_at.is_none()
+            && epoch >= cfg.min_epochs
+            && self.omega.coverage(n) >= cfg.convergence;
+        let eval_now =
+            converging || epoch + 1 == cfg.max_epochs || epoch.is_multiple_of(cfg.eval_every);
+        let (record, p) = {
+            let _record = span(rec, "record");
+            self.record(model, rng, epoch, loss, eval_now)?
+        };
+        emit_epoch(rec, &record);
+        self.epochs.push(record);
+        if let Some(g) = guard {
+            g.warn_checks(epoch, &p, self.is_r().then_some((self.omega.len(), n)));
+        }
+        if converging {
+            self.converged_at = Some(epoch);
+            if rec.enabled() {
+                rec.record(&Event::Convergence { epoch });
+            }
+        }
+        Ok(converging)
+    }
+
+    fn capture(&self, st: &mut TrainerState) {
+        if self.is_r() {
+            st.omega = Some(self.omega.clone());
+            st.a_self = Some((*self.a_self).clone());
+        }
+        st.converged_at = self.converged_at;
+        st.pretrain_metrics = self.pretrain_metrics;
+        st.epochs = self.epochs.clone();
+        st.snapshots = self
+            .snapshots
+            .iter()
+            .map(|(e, z, a)| (*e, z.clone(), a.as_deref().cloned()))
+            .collect();
+    }
+
+    fn restore(&mut self, st: &TrainerState) {
+        self.a_self = st
+            .a_self
+            .clone()
+            .map_or_else(|| Rc::clone(&self.data.adjacency), Rc::new);
+        self.omega = st
+            .omega
+            .clone()
+            .unwrap_or_else(|| Omega::full(self.data.num_nodes));
+        self.converged_at = st.converged_at;
+        self.epochs.clone_from(&st.epochs);
+        self.snapshots = st
+            .snapshots
+            .iter()
+            .map(|(e, z, a)| (*e, z.clone(), a.clone().map(Rc::new)))
+            .collect();
+    }
+}
+
+impl Finished<'_> {
+    /// Close the run log with the run summary.
+    fn emit_run_end(&self) {
+        let rec = self.body.ctx.rec;
+        if rec.enabled() {
+            rec.record(&Event::RunEnd(RunSummary {
+                train_seconds: self.train_seconds,
+                converged_at: self.body.converged_at,
+                epochs_run: self.body.epochs.len(),
+                final_acc: self.final_metrics.acc,
+                final_nmi: self.final_metrics.nmi,
+                final_ari: self.final_metrics.ari,
+                degraded: self.degraded,
+            }));
+        }
+    }
+
+    fn r_report(self) -> RReport {
+        let Clustering {
+            a_self,
+            converged_at,
+            epochs,
+            snapshots,
+            ..
+        } = self.body;
+        let snapshots = snapshots
+            .into_iter()
+            .map(|(e, z, a)| (e, z, a.unwrap_or_else(|| Rc::clone(&a_self))))
+            .collect();
+        RReport {
+            pretrain_metrics: self.pretrain_metrics,
+            final_metrics: self.final_metrics,
+            converged_at,
+            epochs,
+            train_seconds: self.train_seconds,
+            final_graph: a_self,
+            snapshots,
+            degraded: self.degraded,
+        }
+    }
+
+    fn plain_report(self) -> PlainReport {
+        PlainReport {
+            pretrain_metrics: self.pretrain_metrics,
+            final_metrics: self.final_metrics,
+            epochs: self.body.epochs,
+            train_seconds: self.train_seconds,
+            snapshots: self
+                .body
+                .snapshots
+                .into_iter()
+                .map(|(e, z, _)| (e, z))
+                .collect(),
+            degraded: self.degraded,
+        }
     }
 }
 
@@ -1468,9 +1183,6 @@ pub fn train_plain_traced(
 /// both phases plus phase-boundary and end-of-run saves, and (with
 /// `opts.resume`) bit-identical mid-phase re-entry — the plain counterpart
 /// of [`RTrainer::with_checkpoints`].
-// `mut_range_bound`: the guard rollback updates a loop's start epoch and
-// re-enters it via `continue 'attempts`, where the bound IS re-read.
-#[allow(clippy::too_many_lines, clippy::mut_range_bound)]
 pub fn train_plain_ckpt(
     model: &mut dyn GaeModel,
     graph: &AttributedGraph,
@@ -1479,439 +1191,24 @@ pub fn train_plain_ckpt(
     rec: &dyn Recorder,
     ckpt: Option<&CheckpointOpts>,
 ) -> Result<PlainReport> {
-    apply_thread_config(cfg);
+    apply_config(cfg)?;
     if rec.enabled() {
         // Scope the kernel timing table to this run.
         let _ = rgae_par::take_kernel_stats();
     }
     let data = TrainData::from_graph(graph);
-    let truth = graph.labels();
-
+    let ctx = Ctx {
+        cfg,
+        rec,
+        variant: VARIANT_PLAIN,
+    };
+    // One store serves both phases, so `halt_after_saves` counts across
+    // them.
     let mut saver = Saver::open(ckpt, rec)?;
-    let mut resumed = saver
+    let resumed = saver
         .as_ref()
         .and_then(|s| s.load_for_resume(VARIANT_PLAIN));
-
-    // Fast-forward: the stored run already finished. Rebuild its report and
-    // replay its events so a resumed log is still complete.
-    if resumed.as_ref().is_some_and(|st| st.phase == Phase::Done) {
-        let st = resumed.take().unwrap();
-        if let (Some(pm), Some(fm)) = (st.pretrain_metrics, st.final_metrics) {
-            model.import_params(&st.model)?;
-            *rng = st.rng();
-            let snapshots = st.plain_snapshots();
-            if rec.enabled() {
-                for e in &st.epochs {
-                    rec.record(&Event::Epoch(e.to_event()));
-                    rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-                }
-                rec.record(&Event::RunEnd(RunSummary {
-                    train_seconds: st.elapsed_seconds,
-                    converged_at: None,
-                    epochs_run: st.epochs.len(),
-                    final_acc: fm.acc,
-                    final_nmi: fm.nmi,
-                    final_ari: fm.ari,
-                    degraded: st.degraded,
-                }));
-            }
-            return Ok(PlainReport {
-                pretrain_metrics: pm,
-                final_metrics: fm,
-                epochs: st.epochs,
-                train_seconds: st.elapsed_seconds,
-                snapshots,
-                degraded: st.degraded,
-            });
-        }
-        // A finished state missing its metrics is unusable: run fresh.
-    }
-
-    let mut clustering_resume: Option<TrainerState> = None;
-    let mut pretrain_start = 0usize;
-    if let Some(st) = resumed {
-        match st.phase {
-            Phase::Pretrain { next_epoch } => {
-                model.import_params(&st.model)?;
-                *rng = st.rng();
-                pretrain_start = next_epoch;
-            }
-            Phase::Clustering { .. } => clustering_resume = Some(st),
-            // Handled (or discarded) above.
-            Phase::Done => {}
-        }
-    }
-
-    if clustering_resume.is_none() {
-        let spec_pre = StepSpec::pretrain(Rc::clone(&data.adjacency));
-        let mut guard = GuardDriver::new(cfg.guard.as_ref(), rec, model, false);
-        // Phase-entry seed: a trip before the first snapshot-cadence epoch
-        // rolls back to the initial weights instead of degrading.
-        if let Some(g) = guard.as_mut() {
-            g.note_healthy(TrainerState::new(
-                VARIANT_PLAIN,
-                Phase::Pretrain {
-                    next_epoch: pretrain_start,
-                },
-                model.export_params(),
-                rng,
-            ));
-        }
-        {
-            let _pretrain = span(rec, "pretrain");
-            'attempts: loop {
-                for epoch in pretrain_start..cfg.pretrain_epochs {
-                    let loss = model.train_step(&data, &spec_pre, rng)?;
-                    let mut exported: Option<ModelState> = None;
-                    let mut snap = false;
-                    if let Some(g) = guard.as_mut() {
-                        let next = epoch + 1;
-                        snap = g.snapshot_due(
-                            epoch,
-                            saver
-                                .as_ref()
-                                .is_some_and(|s| s.due(next) && next < cfg.pretrain_epochs),
-                        );
-                        let (state, tripped) = g.check_core("pretrain", epoch, loss, model, snap);
-                        exported = state;
-                        if tripped {
-                            match g.recover(saver.as_ref(), VARIANT_PLAIN, false, "pretrain", epoch)
-                            {
-                                Recovery::Retry(st, plan) => {
-                                    model.import_params(&st.model)?;
-                                    model.scale_lr(plan.lr_scale);
-                                    *rng = st.rng();
-                                    rng.reseed_with(plan.reseed_salt);
-                                    pretrain_start = st.phase.next_epoch().unwrap_or(0);
-                                    continue 'attempts;
-                                }
-                                Recovery::Degrade(st) => {
-                                    // Not terminal for the run: restore the
-                                    // last-good weights (when any) and move
-                                    // on to head init — the clustering phase
-                                    // may still recover.
-                                    if let Some(st) = st {
-                                        model.import_params(&st.model)?;
-                                        *rng = st.rng();
-                                    }
-                                    break 'attempts;
-                                }
-                            }
-                        }
-                    }
-                    let next = epoch + 1;
-                    let due_save = saver
-                        .as_ref()
-                        .is_some_and(|s| s.due(next) && next < cfg.pretrain_epochs);
-                    if snap || due_save {
-                        let st = TrainerState::new(
-                            VARIANT_PLAIN,
-                            Phase::Pretrain { next_epoch: next },
-                            exported.take().unwrap_or_else(|| model.export_params()),
-                            rng,
-                        );
-                        if due_save {
-                            if let Some(s) = saver.as_mut() {
-                                s.save(&st)?;
-                                if guard.is_some() {
-                                    s.mark_healthy(&st)?;
-                                }
-                            }
-                        }
-                        if let Some(g) = guard.as_mut() {
-                            g.note_healthy(st);
-                        }
-                    }
-                }
-                break 'attempts;
-            }
-        }
-        {
-            let _init = span(rec, "init_head");
-            model.init_clustering(&data, rng)?;
-        }
-        // Phase-boundary save: pretraining + head init are the expensive
-        // prefix shared by every resume, so always persist them.
-        if let Some(s) = saver.as_mut() {
-            let st = TrainerState::new(
-                VARIANT_PLAIN,
-                Phase::Clustering { next_epoch: 0 },
-                model.export_params(),
-                rng,
-            );
-            s.save(&st)?;
-        }
-    }
-
-    let mut epochs: Vec<EpochRecord> = Vec::new();
-    let mut snapshots: Vec<(usize, rgae_linalg::Mat)> = Vec::new();
-    let mut start_epoch = 0usize;
-    let mut elapsed_base = 0.0;
-    let mut restored_pretrain_metrics: Option<Metrics> = None;
-    if let Some(st) = clustering_resume {
-        model.import_params(&st.model)?;
-        *rng = st.rng();
-        snapshots = st.plain_snapshots();
-        restored_pretrain_metrics = st.pretrain_metrics;
-        elapsed_base = st.elapsed_seconds;
-        if rec.enabled() {
-            for e in &st.epochs {
-                rec.record(&Event::Epoch(e.to_event()));
-                rec.gauge("omega_size", Some(e.epoch), e.omega_size as f64);
-            }
-        }
-        epochs = st.epochs;
-        start_epoch = st.phase.next_epoch().unwrap_or(0);
-    }
-
-    // The phase-boundary checkpoint precedes this evaluation, so a resume
-    // from it re-consumes the RNG stream exactly like a fresh run;
-    // mid-clustering checkpoints carry the metrics instead.
-    let pretrain_metrics = match restored_pretrain_metrics {
-        Some(m) => m,
-        None => {
-            let _eval = span(rec, "eval");
-            evaluate_traced(model, &data, truth, rng, rec)?
-        }
-    };
-
-    let clustering = span(rec, "clustering");
-    let phase_start = std::time::Instant::now();
-    let mut guard = GuardDriver::new(cfg.guard.as_ref(), rec, model, true);
-    let mut degraded = false;
-    // Seed the in-memory rollback target with the phase-entry state so a
-    // guard tripped before the first snapshot-cadence epoch still has
-    // somewhere safe to land.
-    if let Some(g) = guard.as_mut() {
-        let mut st = TrainerState::new(
-            VARIANT_PLAIN,
-            Phase::Clustering {
-                next_epoch: start_epoch,
-            },
-            model.export_params(),
-            rng,
-        );
-        st.pretrain_metrics = Some(pretrain_metrics);
-        st.epochs = epochs.clone();
-        st.snapshots = snapshots
-            .iter()
-            .map(|(e, z)| (*e, z.clone(), None))
-            .collect();
-        st.elapsed_seconds = elapsed_base;
-        g.note_healthy(st);
-    }
-    'attempts: loop {
-        for epoch in start_epoch..cfg.max_epochs {
-            if cfg.snapshot_epochs.contains(&epoch) {
-                snapshots.push((epoch, model.embed(&data)));
-            }
-            // One optimisation step, with any scheduled fault injections.
-            let due_faults = guard
-                .as_mut()
-                .map_or_else(Vec::new, |g| g.faults_due("clustering", epoch));
-            let step_t = span(rec, "step");
-            let cluster = model.cluster_target(&data)?.map(|target| ClusterStep {
-                target,
-                omega: None,
-            });
-            let spec = StepSpec {
-                recon_target: Some(Rc::clone(&data.adjacency)),
-                gamma: cfg.gamma,
-                cluster,
-            };
-            let poison = due_faults.contains(&FaultKind::NanGrad);
-            if poison {
-                arm_grad_poison();
-            }
-            let step_result = model.train_step(&data, &spec, rng);
-            if poison {
-                disarm_grad_poison();
-            }
-            let mut loss = step_result?;
-            step_t.stop();
-            for kind in &due_faults {
-                match kind {
-                    FaultKind::InfLoss => loss = f64::INFINITY,
-                    FaultKind::NanLoss => loss = f64::NAN,
-                    FaultKind::CorruptCkpt => {
-                        if let Some(s) = saver.as_ref() {
-                            s.corrupt_latest(epoch as u64)?;
-                        }
-                    }
-                    FaultKind::NanGrad => {}
-                }
-            }
-
-            // Trip checks run before any bookkeeping: a tripped epoch
-            // contributes no record and no save.
-            let mut exported: Option<ModelState> = None;
-            let mut snap = false;
-            if let Some(g) = guard.as_mut() {
-                snap = g.snapshot_due(epoch, saver.as_ref().is_some_and(|s| s.due(epoch + 1)));
-                let (state, tripped) = g.check_core("clustering", epoch, loss, model, snap);
-                exported = state;
-                if tripped {
-                    match g.recover(saver.as_ref(), VARIANT_PLAIN, true, "clustering", epoch) {
-                        Recovery::Retry(st, plan) => {
-                            model.import_params(&st.model)?;
-                            model.scale_lr(plan.lr_scale);
-                            *rng = st.rng();
-                            rng.reseed_with(plan.reseed_salt);
-                            snapshots = st.plain_snapshots();
-                            epochs = st.epochs.clone();
-                            start_epoch = st.phase.next_epoch().unwrap_or(0);
-                            continue 'attempts;
-                        }
-                        Recovery::Degrade(st) => {
-                            if let Some(st) = st {
-                                model.import_params(&st.model)?;
-                                *rng = st.rng();
-                                snapshots = st.plain_snapshots();
-                                epochs = st.epochs.clone();
-                            }
-                            degraded = true;
-                            break 'attempts;
-                        }
-                    }
-                }
-            }
-
-            // The final epoch always gets a full evaluation, whatever
-            // `eval_every` says — the closing record must carry metrics.
-            let last_epoch = epoch + 1 == cfg.max_epochs;
-            let record_t = span(rec, "record");
-            let eval_t = span(rec, "eval");
-            let p = soft_assignments_or_kmeans_traced(model, &data, rng, rec)?;
-            let pred = p.row_argmax();
-            let eval_now = last_epoch || epoch.is_multiple_of(cfg.eval_every);
-            let metrics = eval_now.then(|| Metrics::from_predictions(&pred, truth));
-            eval_t.stop();
-            let (mut fr_r, mut fr_full, mut fd_cur, mut fd_van) = (None, None, None, None);
-            let mut omega_size = data.num_nodes;
-            if cfg.track_diagnostics {
-                let _diag = span(rec, "diagnostics");
-                let p_xi = xi_assignments_or_kmeans_traced(model, &data, rng, rec)?;
-                let omega = xi(&p_xi, &cfg.xi)?;
-                omega_size = omega.len();
-                let z = model.embed(&data);
-                if let Some(target) = model.cluster_target(&data)? {
-                    if !omega.is_empty() {
-                        fr_r = lambda_fr(model, &data, &target, Some(&omega.indices), truth, rec)?;
-                    }
-                    fr_full = lambda_fr(model, &data, &target, None, truth, rec)?;
-                }
-                let sup = supervised_graph(&data, &z, &p, truth, rec)?;
-                // "R value at the plain model's θ": the Υ-transformed graph the
-                // R-model would use right now.
-                if !omega.is_empty() {
-                    let out = upsilon(&data.adjacency, &p, &z, &omega.indices, &cfg.upsilon)?;
-                    fd_cur = Some(lambda_fd(model, &data, &Rc::new(out.graph), &sup)?);
-                }
-                fd_van = Some(lambda_fd(model, &data, &data.adjacency, &sup)?);
-            }
-            let record = EpochRecord {
-                epoch,
-                loss,
-                metrics,
-                omega_size,
-                omega_acc: 0.0,
-                rest_acc: 0.0,
-                graph_stats: eval_now.then(|| GraphStats::compute(&data.adjacency, truth)),
-                added_links: eval_now.then_some((0, 0)),
-                dropped_links: eval_now.then_some((0, 0)),
-                lambda_fr_restricted: fr_r,
-                lambda_fr_full: fr_full,
-                lambda_fd_current: fd_cur,
-                lambda_fd_vanilla: fd_van,
-            };
-            record_t.stop();
-            if rec.enabled() {
-                rec.record(&Event::Epoch(record.to_event()));
-                rec.gauge("omega_size", Some(epoch), omega_size as f64);
-            }
-            epochs.push(record);
-            if let Some(g) = guard.as_mut() {
-                g.warn_checks("clustering", epoch, Some(&p), None);
-            }
-
-            let due_save = saver
-                .as_ref()
-                .is_some_and(|s| !last_epoch && s.due(epoch + 1));
-            if snap || due_save {
-                let mut st = TrainerState::new(
-                    VARIANT_PLAIN,
-                    Phase::Clustering {
-                        next_epoch: epoch + 1,
-                    },
-                    exported.take().unwrap_or_else(|| model.export_params()),
-                    rng,
-                );
-                st.pretrain_metrics = Some(pretrain_metrics);
-                st.epochs = epochs.clone();
-                st.snapshots = snapshots
-                    .iter()
-                    .map(|(e, z)| (*e, z.clone(), None))
-                    .collect();
-                st.elapsed_seconds = elapsed_base + phase_start.elapsed().as_secs_f64();
-                if due_save {
-                    if let Some(s) = saver.as_mut() {
-                        s.save(&st)?;
-                        if guard.is_some() {
-                            s.mark_healthy(&st)?;
-                        }
-                    }
-                }
-                if let Some(g) = guard.as_mut() {
-                    g.note_healthy(st);
-                }
-            }
-        }
-        break 'attempts;
-    }
-    let train_seconds = elapsed_base + clustering.stop();
-    // Requested snapshots at or past the end of the run collapse into one
-    // final snapshot labelled with the actual epoch count.
-    let end_epoch = epochs.last().map_or(0, |e| e.epoch + 1);
-    if cfg.snapshot_epochs.iter().any(|&e| e >= end_epoch)
-        && !snapshots.iter().any(|s| s.0 == end_epoch)
-    {
-        snapshots.push((end_epoch, model.embed(&data)));
-    }
-    let final_metrics = {
-        let _eval = span(rec, "eval");
-        evaluate_traced(model, &data, truth, rng, rec)?
-    };
-    if rec.enabled() {
-        rec.record(&Event::RunEnd(RunSummary {
-            train_seconds,
-            converged_at: None,
-            epochs_run: epochs.len(),
-            final_acc: final_metrics.acc,
-            final_nmi: final_metrics.nmi,
-            final_ari: final_metrics.ari,
-            degraded,
-        }));
-        flush_kernel_stats(rec);
-    }
-    if let Some(s) = saver.as_mut() {
-        let mut st = TrainerState::new(VARIANT_PLAIN, Phase::Done, model.export_params(), rng);
-        st.pretrain_metrics = Some(pretrain_metrics);
-        st.final_metrics = Some(final_metrics);
-        st.epochs = epochs.clone();
-        st.snapshots = snapshots
-            .iter()
-            .map(|(e, z)| (*e, z.clone(), None))
-            .collect();
-        st.elapsed_seconds = train_seconds;
-        st.degraded = degraded;
-        s.save(&st)?;
-    }
-    Ok(PlainReport {
-        pretrain_metrics,
-        final_metrics,
-        epochs,
-        train_seconds,
-        snapshots,
-        degraded,
-    })
+    let resumed = pretrain_phase(ctx, model, &data, rng, &mut saver, resumed)?;
+    let done = Clustering::new(ctx, &data, graph.labels()).run(model, rng, &mut saver, resumed)?;
+    Ok(done.plain_report())
 }

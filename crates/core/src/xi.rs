@@ -37,7 +37,7 @@ impl XiConfig {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(0.0..=1.0).contains(&self.alpha1) || !(0.0..=1.0).contains(&self.alpha2) {
             return Err(Error::Config("xi thresholds must lie in [0,1]"));
         }
@@ -58,6 +58,16 @@ pub struct Omega {
 }
 
 impl Omega {
+    /// Ω = 𝒱: every node decidable (λ¹ = 1, λ² = 0), the set while Ξ is
+    /// inactive.
+    pub(crate) fn full(n: usize) -> Self {
+        Omega {
+            indices: (0..n).collect(),
+            lambda1: vec![1.0; n],
+            lambda2: vec![0.0; n],
+        }
+    }
+
     /// |Ω|.
     pub fn len(&self) -> usize {
         self.indices.len()

@@ -158,3 +158,27 @@ fn homophily_survives_training_data_roundtrip() {
     }
     assert!(intra / ni as f64 > inter / nj as f64 + 0.03);
 }
+
+/// 𝒟 and R-𝒟 share one pretraining routine, so `run_pair`'s twins (same
+/// initial weights, same RNG stream) reach the clustering phase with
+/// bit-identical pretrain metrics for every model.
+#[test]
+fn run_pair_pretraining_is_bitwise_shared() {
+    let dataset = DatasetKind::BrazilAir;
+    let graph = dataset.build(0.5, 4);
+    for model in ModelKind::all() {
+        let cfg = rconfig_for(model, dataset, true);
+        let out = run_pair(
+            model,
+            dataset,
+            &graph,
+            &cfg,
+            9,
+            &rgae_obs::NOOP,
+            &rgae_xp::HarnessOpts::default(),
+        );
+        let (p, r) = (out.plain.pretrain_metrics, out.r.pretrain_metrics);
+        let bits = |m: rgae_core::Metrics| [m.acc.to_bits(), m.nmi.to_bits(), m.ari.to_bits()];
+        assert_eq!(bits(p), bits(r), "{}: plain {p:?} vs R {r:?}", model.name());
+    }
+}
