@@ -20,14 +20,30 @@
 //! a multiple of `REDUCE_CHUNK`, so the bits are invariant to the tile
 //! size *and* the thread count.
 //!
-//! The gradient rows replicate the legacy `(C + Cᵀ)·Z` element order: for
-//! each row `i` the columns are scanned ascending, the symmetric
-//! coefficient is formed as `c_ij + c_ji` (the same operand order as
-//! `Mat::add` in the legacy Gram backward), exact zeros are skipped like
-//! `Mat::matmul`'s zero fast path, and the inner product over the latent
-//! dimension accumulates ascending. `c_ji` needs the transposed target
-//! row, which is read from a `target.transpose()` built once per call
-//! (O(nnz), negligible next to the N²·d panel work).
+//! The gradient rows replicate the legacy `(C + Cᵀ)·Z` element order, in
+//! two passes per row `i`. A *coefficient* pass scans the columns
+//! ascending (adding each softplus to the loss accumulator as it goes) and
+//! writes the symmetric coefficient `c_ij + c_ji` of every column into a
+//! per-task N-length buffer: `gs·σ + gs·σ` for non-edges, then the full
+//! expression for the edge columns of row `i` and of the transposed target
+//! (the same operand order as `Mat::add` in the legacy Gram backward;
+//! `c_ji` comes from a `target.transpose()` built once per call, O(nnz)).
+//! An *accumulation* pass then forms `dZ_i = Σ_j coef_j z_j` with `j`
+//! ascending and exact zeros skipped like `Mat::matmul`'s zero fast path,
+//! holding 8 latent columns at a time in registers. Every output element
+//! sees the same additions in the same order as the legacy matmul, so dZ
+//! is bit-identical to the legacy chain's.
+//!
+//! # Per-logit transcendentals and the loss bound
+//!
+//! Each logit costs one `exp`: `e = e^{−|s|}` feeds both `σ` (`1/(1+e)`
+//! for `s ≥ 0`, `e/(1+e)` below — the formulas of `crate::sigmoid`, so σ
+//! and with it every gradient is unchanged) and `softplus = max(s, 0) +
+//! ln(1 + e)`, with `ln(1 + e)` from the crate's inlinable fdlibm kernel
+//! (`log1p_unit`, within 1 ulp of `f64::ln_1p`). The legacy chain calls the
+//! same `crate::softplus`, so the fused loss still equals it bit for bit;
+//! against the direct `s.exp().ln_1p()` each softplus term is within 1 ulp
+//! for `s < 0` and 2 ulp for `s ≥ 0` (the tests pin both bounds).
 //!
 //! # Symmetry sharing
 //!
@@ -46,7 +62,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rgae_par::REDUCE_CHUNK;
 
-use crate::{softplus, Csr, Error, Mat, Result};
+use crate::{log1p_unit, sigmoid, softplus, Csr, Error, Mat, Result};
 
 /// Baseline tile rows when neither the programmatic override nor the
 /// `RGAE_DECODER_TILE` environment variable is set. The effective default
@@ -89,8 +105,9 @@ fn effective_tile(n: usize) -> usize {
 
 /// Peak scratch bytes the fused decoder allocates for an `n`-row graph:
 /// one `B×N` `f64` panel plus the `2·B²` diagonal-block transcendental
-/// cache (`B ≤ N`, so the total stays `O(B·N)`). The legacy path peaks at
-/// several dense `N×N` matrices. Used by the benchmark reports.
+/// cache (`B ≤ N`, so the total stays `O(B·N)`); the gradient pass adds
+/// one `N`-length coefficient row per running task on top. The legacy path
+/// peaks at several dense `N×N` matrices. Used by the benchmark reports.
 pub fn fused_panel_bytes(n: usize) -> usize {
     let b = effective_tile(n);
     (b * n + 2 * b * b) * std::mem::size_of::<f64>()
@@ -227,25 +244,81 @@ fn fill_diag_row(
     }
 }
 
-/// `softplus(x)` and `σ(x)` together, sharing the `exp` where the two
-/// reference implementations in `crate::lib` evaluate the same one
-/// (`x < 0`: both use `e = eˣ`). Bit-identical to calling each separately.
+/// `softplus(x)` and `σ(x)` together from one `e = e^{−|x|}`: the same
+/// expressions as [`softplus`] and [`sigmoid`] in `crate::lib` (σ is
+/// `1/(1+e)` for `x ≥ 0` and `e/(1+e)` below), so each is bit-identical to
+/// calling its reference separately, at the cost of one `exp`.
 #[inline]
 fn softplus_sigmoid(x: f64) -> (f64, f64) {
-    if x < 0.0 {
-        let e = x.exp();
-        let sp = if x < -30.0 { e } else { e.ln_1p() };
-        (sp, e / (1.0 + e))
+    let e = (-x.abs()).exp();
+    let sp = if x > 30.0 {
+        x
+    } else if x < -30.0 {
+        e
     } else {
-        let sp = if x > 30.0 { x } else { x.exp().ln_1p() };
-        (sp, 1.0 / (1.0 + (-x).exp()))
+        x.max(0.0) + log1p_unit(e)
+    };
+    let sig = if x < 0.0 {
+        e / (1.0 + e)
+    } else {
+        1.0 / (1.0 + e)
+    };
+    (sp, sig)
+}
+
+/// Off-block part of the coefficient pass: each logit's softplus goes into
+/// the loss accumulator in ascending column order, and its non-edge
+/// coefficient `c_ij + c_ji = gs·σ + gs·σ` into `coef` (edge columns are
+/// patched afterwards).
+#[inline]
+fn off_block_coefs(s: &[f64], coef: &mut [f64], gs: f64, acc: &mut f64) {
+    for (&v, c) in s.iter().zip(coef.iter_mut()) {
+        let (sp, sig) = softplus_sigmoid(v);
+        *acc += sp;
+        *c = gs * sig + gs * sig;
     }
 }
 
-/// Sparse row of a CSR as (columns, values) slices, ascending columns.
-#[inline]
-fn csr_row(t: &Csr, i: usize) -> Vec<(usize, f64)> {
-    t.row_iter(i).collect()
+/// Latent columns one register block of [`accumulate_row`] keeps in locals.
+const LANES: usize = 8;
+
+/// `dz_row += Σ_j coef_j · z_j` with `j` ascending and exact zeros skipped —
+/// the legacy `Mat::matmul` element order. The latent dimension is walked
+/// in blocks of [`LANES`] columns held in locals across the whole `j`
+/// sweep (plus a narrower tail block), instead of a load-add-store of the
+/// row per `j`; every output element still sees the same additions in the
+/// same order, so the bits are those of the row-at-a-time walk.
+fn accumulate_row(coef: &[f64], z: &Mat, dz_row: &mut [f64]) {
+    let d = z.cols();
+    let terms = || {
+        coef.iter()
+            .zip(z.as_slice().chunks_exact(d))
+            .filter(|(&c, _)| c != 0.0)
+    };
+    let mut k0 = 0;
+    while k0 + LANES <= d {
+        let mut acc: [f64; LANES] = dz_row[k0..k0 + LANES].try_into().expect("LANES wide");
+        for (&c, zj) in terms() {
+            let zj: &[f64; LANES] = zj[k0..k0 + LANES].try_into().expect("LANES wide");
+            for l in 0..LANES {
+                acc[l] += c * zj[l];
+            }
+        }
+        dz_row[k0..k0 + LANES].copy_from_slice(&acc);
+        k0 += LANES;
+    }
+    let tail = &mut dz_row[k0..];
+    if !tail.is_empty() {
+        let w = tail.len();
+        let mut acc = [0.0f64; LANES];
+        acc[..w].copy_from_slice(tail);
+        for (&c, zj) in terms() {
+            for (a, &b) in acc.iter_mut().zip(&zj[k0..]) {
+                *a += c * b;
+            }
+        }
+        tail.copy_from_slice(&acc[..w]);
+    }
 }
 
 /// Fused, tiled weighted-BCE-over-Gram forward (+ optional backward):
@@ -336,48 +409,56 @@ pub fn gram_bce_fused(
             // `acc` threads through every row of the chunk (not a per-row
             // subtotal): the legacy chunk partial is one running sum, and
             // regrouping it per row would change the addition tree.
-            let sweep_row = |i: usize, dz_row: Option<&mut [f64]>, acc: &mut f64| {
+            // `grad` carries the row's dz slice and the task's N-length
+            // coefficient buffer.
+            let sweep_row = |i: usize, grad: Option<(&mut [f64], &mut [f64])>, acc: &mut f64| {
                 let r2 = i - t0;
                 let s_row = &panel_ref[r2 * n..(r2 + 1) * n];
-                let t_row = csr_row(target, i);
-                if let (Some(dz_row), Some(gs), Some(tt)) = (dz_row, grad_scale, tt.as_ref()) {
-                    // Fused sweep + gradient walk: ascending j, softplus
-                    // into the loss accumulator, then the legacy
-                    // (C + Cᵀ)·Z element order — coefficient c_ij + c_ji,
-                    // zero-skip, ascending latent dim. Interleaving the
-                    // walk with the sweep leaves both addition orders
-                    // untouched.
-                    let tt_row = csr_row(tt, i);
+                let (t_cols, t_vals) = (target.row_indices(i), target.row_values(i));
+                if let (Some((dz_row, coef)), Some(gs), Some(tt)) = (grad, grad_scale, tt.as_ref())
+                {
+                    // Coefficient pass: ascending j, softplus into the loss
+                    // accumulator and every column's non-edge coefficient
+                    // into `coef` ...
+                    off_block_coefs(&s_row[..t0], &mut coef[..t0], gs, acc);
+                    for c2 in 0..tw {
+                        let p = pair(r2, c2);
+                        *acc += diag_ref[p];
+                        coef[t0 + c2] = gs * diag_ref[p + 1] + gs * diag_ref[p + 1];
+                    }
+                    off_block_coefs(&s_row[t1..], &mut coef[t1..], gs, acc);
+                    // ... then the edge columns of row i and of the
+                    // transposed target (a merged ascending walk) get the
+                    // full `c_ij + c_ji`, the operand order of `Mat::add` in
+                    // the legacy Gram backward.
+                    let (tt_cols, tt_vals) = (tt.row_indices(i), tt.row_values(i));
                     let coeff_at = |t: Option<f64>, sig: f64| match t {
                         Some(t) => gs * (pos_weight * t * (sig - 1.0) + (1.0 - t) * sig),
                         None => gs * sig,
                     };
                     let (mut pa, mut pb) = (0usize, 0usize);
-                    for j in 0..n {
-                        let (sp, sig) = if j >= t0 && j < t1 {
-                            let p = pair(r2, j - t0);
-                            (diag_ref[p], diag_ref[p + 1])
-                        } else {
-                            softplus_sigmoid(s_row[j])
-                        };
-                        *acc += sp;
-                        let t_ij = (pa < t_row.len() && t_row[pa].0 == j).then(|| {
+                    while pa < t_cols.len() || pb < tt_cols.len() {
+                        let ja = t_cols.get(pa).copied().unwrap_or(usize::MAX);
+                        let jb = tt_cols.get(pb).copied().unwrap_or(usize::MAX);
+                        let j = ja.min(jb);
+                        let t_ij = (ja == j).then(|| {
                             pa += 1;
-                            t_row[pa - 1].1
+                            t_vals[pa - 1]
                         });
-                        let t_ji = (pb < tt_row.len() && tt_row[pb].0 == j).then(|| {
+                        let t_ji = (jb == j).then(|| {
                             pb += 1;
-                            tt_row[pb - 1].1
+                            tt_vals[pb - 1]
                         });
-                        let coeff = coeff_at(t_ij, sig) + coeff_at(t_ji, sig);
-                        if coeff == 0.0 {
-                            continue;
-                        }
-                        let zj = z.row(j);
-                        for (o, &b) in dz_row.iter_mut().zip(zj.iter()) {
-                            *o += coeff * b;
-                        }
+                        let sig = if j >= t0 && j < t1 {
+                            diag_ref[pair(r2, j - t0) + 1]
+                        } else {
+                            sigmoid(s_row[j])
+                        };
+                        coef[j] = coeff_at(t_ij, sig) + coeff_at(t_ji, sig);
                     }
+                    // Gradient pass: the legacy (C + Cᵀ)·Z row, register
+                    // blocked over the latent dimension.
+                    accumulate_row(coef, z, dz_row);
                 } else {
                     for j in 0..t0 {
                         *acc += softplus(s_row[j]);
@@ -392,7 +473,7 @@ pub fn gram_bce_fused(
                 // Positive-entry corrections, in CSR order — the legacy
                 // forward's second per-row loop. In-block logits below the
                 // diagonal come from the mirrored panel entry.
-                for &(j, t) in &t_row {
+                for (&j, &t) in t_cols.iter().zip(t_vals) {
                     let v = if j >= t0 && j < i {
                         panel_ref[(j - t0) * n + i]
                     } else {
@@ -417,8 +498,9 @@ pub fn gram_bce_fused(
                     |ci, dz_stripe, part| {
                         let row0 = t0 + ci * REDUCE_CHUNK;
                         let mut acc = 0.0;
-                        for r in 0..dz_stripe.len() / d {
-                            sweep_row(row0 + r, Some(&mut dz_stripe[r * d..(r + 1) * d]), &mut acc);
+                        let mut coef = vec![0.0f64; n];
+                        for (r, dz_row) in dz_stripe.chunks_exact_mut(d).enumerate() {
+                            sweep_row(row0 + r, Some((dz_row, &mut coef)), &mut acc);
                         }
                         part[0] = acc;
                     },
@@ -680,6 +762,60 @@ mod tests {
             let (sp, sig) = softplus_sigmoid(x);
             assert_eq!(sp.to_bits(), softplus(x).to_bits(), "softplus({x})");
             assert_eq!(sig.to_bits(), sigmoid(x).to_bits(), "sigmoid({x})");
+        }
+    }
+
+    #[test]
+    fn softplus_sigmoid_bit_matches_references_on_dense_grid() {
+        let mut grid = crate::tests::softplus_test_grid();
+        grid.extend([-1e9, -746.0, -745.2, 745.2, 746.0, 1e9]);
+        for x in grid {
+            let (sp, sig) = softplus_sigmoid(x);
+            assert_eq!(sp.to_bits(), softplus(x).to_bits(), "softplus({x:e})");
+            assert_eq!(sig.to_bits(), sigmoid(x).to_bits(), "sigmoid({x:e})");
+        }
+        let (sp, sig) = softplus_sigmoid(f64::NAN);
+        assert!(sp.is_nan() && sig.is_nan());
+    }
+
+    /// Shapes and values the blocked gradient pass must reproduce bit for
+    /// bit: latent widths that are not multiples of the register block
+    /// (tail only, block + tail), a zero coefficient scale (every
+    /// coefficient +0, so dz is all +0.0), and rows whose logits fall below
+    /// −745, where σ underflows to 0 and the zero-skip applies.
+    #[test]
+    fn fused_matches_legacy_bitwise_awkward_shapes() {
+        let n = 37;
+        let denom = (n * n) as f64;
+        for d in [1usize, 7, 8, 9, 17, 33] {
+            let (mut z, t) = instance(100 + d as u64, n, d);
+            // Rows 0..4 alternate ±40 in every latent column: their mutual
+            // logits are ±1600·d, far past σ's underflow and saturation.
+            for i in 0..4 {
+                let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                z.row_mut(i).fill(40.0 * sign);
+            }
+            for norm in [0.62, 0.0] {
+                let out = gram_bce_fused(&z, &t, 3.5, norm, Some(norm / denom)).unwrap();
+                let (loss, dz) = legacy(&z, &t, 3.5, norm);
+                assert_eq!(
+                    out.loss.to_bits(),
+                    loss.to_bits(),
+                    "loss bits d={d} norm={norm}"
+                );
+                let got: Vec<u64> = out
+                    .dz
+                    .unwrap()
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let want: Vec<u64> = dz.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "dz bits d={d} norm={norm}");
+                if norm == 0.0 {
+                    assert!(got.iter().all(|&b| b == 0), "dz not all +0.0, d={d}");
+                }
+            }
         }
     }
 

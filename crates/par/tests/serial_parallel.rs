@@ -412,6 +412,57 @@ fn fused_decoder_bits_invariant_to_tile() {
     rgae_linalg::set_decoder_tile(None);
 }
 
+/// The fused decoder's register-blocked gradient pass on awkward inputs:
+/// latent widths that are not multiples of its 8-column block, a zero loss
+/// weight (every coefficient is +0, so dZ must be all +0.0) and embedding
+/// rows whose mutual logits fall below −745, where σ underflows to 0 and
+/// the zero-skip applies. Fused must equal the legacy chain bit for bit at
+/// every thread count. N = 1100 exceeds the default 1024-row tile at 1 and
+/// 2 threads, so off-block columns are covered too.
+#[test]
+fn fused_decoder_awkward_shapes_bitwise_match_legacy() {
+    let shapes = [1usize, 7, 8, 9, 17, 33].map(|d| (300, d));
+    for (n, d) in shapes.into_iter().chain([(1100, 9)]) {
+        let mut z0 = mat_from(40 + d as u64, n, d);
+        for i in 0..4 {
+            let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+            z0.row_mut(i).fill(40.0 * sign);
+        }
+        let adj = std::rc::Rc::new(csr_from(41 + d as u64, n, n));
+        for norm in [0.7, 0.0] {
+            let run = |fused: bool| {
+                let mut g = rgae_autodiff::Graph::new();
+                let z = g.leaf(z0.clone());
+                let loss = if fused {
+                    g.gram_bce_logits_sparse(z, &adj, 3.0, norm)
+                } else {
+                    let s = g.gram(z);
+                    g.bce_logits_sparse(s, &adj, 3.0, norm)
+                }
+                .expect("shapes agree");
+                g.backward(loss).expect("scalar root");
+                (
+                    g.value(loss).as_slice()[0],
+                    g.grad(z).expect("leaf grad").clone(),
+                )
+            };
+            for t in [1usize, 2, 8] {
+                let (loss_l, grad_l) = rgae_par::with_threads(t, || run(false));
+                let (loss_f, grad_f) = rgae_par::with_threads(t, || run(true));
+                let label = format!("n={n} d={d} norm={norm} threads={t}");
+                assert_eq!(loss_f.to_bits(), loss_l.to_bits(), "loss bits, {label}");
+                assert_eq!(bits(&grad_f), bits(&grad_l), "dZ bits, {label}");
+                if norm == 0.0 {
+                    assert!(
+                        bits(&grad_f).iter().all(|&b| b == 0),
+                        "dZ not +0.0, {label}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The ordered reduction itself: chunk decomposition depends only on the
 /// item count, so a sum over a thread-count-hostile length (prime, larger
 /// than one reduce chunk) is bit-stable.

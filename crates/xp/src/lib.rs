@@ -14,6 +14,11 @@ use rgae_linalg::Rng64;
 use rgae_models::{Argae, Arvgae, Dgae, Gae, GaeModel, GmmVgae, TrainData, Vgae};
 use rgae_obs::{timestamp_ms, Event, JsonlSink, NoopRecorder, Recorder, RunManifest};
 
+/// Usage text printed by [`HarnessOpts::from_args`] on a parse error.
+const USAGE: &str = "[--quick] [--full] [--scale S] [--seed N] [--trials N] [--out DIR] \
+[--dataset NAME] [--trace-out PATH] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
+[--guard] [--max-retries N]";
+
 /// Options shared by every experiment binary.
 #[derive(Clone, Debug)]
 pub struct HarnessOpts {
@@ -66,86 +71,83 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parse `--quick`, `--scale S`, `--seed N`, `--trials N`, `--out DIR`,
-    /// `--dataset NAME`, `--trace-out PATH`, `--checkpoint-dir DIR`,
-    /// `--checkpoint-every N`, `--resume`, `--guard`, `--max-retries N`
-    /// from the process arguments. A non-empty `RGAE_FAULT` environment
-    /// variable implies `--guard` (injected faults need the recovery layer).
+    /// Options from the process arguments (see [`HarnessOpts::parse`]). A
+    /// non-empty `RGAE_FAULT` environment variable implies `--guard`
+    /// (injected faults need the recovery layer). On a parse error this
+    /// prints the error and the usage and exits with status 2, before the
+    /// binary opens any output file.
     pub fn from_args() -> Self {
-        let mut opts = HarnessOpts::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let value = |args: &[String], i: usize, flag: &str| -> String {
-            args.get(i)
-                .unwrap_or_else(|| panic!("`{flag}` requires a value"))
-                .clone()
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => opts.quick = true,
-                "--full" => opts.scale = 1.0,
-                "--scale" => {
-                    i += 1;
-                    opts.scale = value(&args, i, "--scale")
-                        .parse()
-                        .expect("--scale takes a float");
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = value(&args, i, "--seed")
-                        .parse()
-                        .expect("--seed takes an integer");
-                }
-                "--trials" => {
-                    i += 1;
-                    opts.trials = value(&args, i, "--trials")
-                        .parse()
-                        .expect("--trials takes an integer");
-                }
-                "--out" => {
-                    i += 1;
-                    opts.out_dir = PathBuf::from(value(&args, i, "--out"));
-                }
-                "--dataset" => {
-                    i += 1;
-                    opts.only_dataset = Some(value(&args, i, "--dataset"));
-                }
-                "--trace-out" => {
-                    i += 1;
-                    opts.trace_out = Some(PathBuf::from(value(&args, i, "--trace-out")));
-                }
-                "--checkpoint-dir" => {
-                    i += 1;
-                    opts.checkpoint_dir = Some(PathBuf::from(value(&args, i, "--checkpoint-dir")));
-                }
-                "--checkpoint-every" => {
-                    i += 1;
-                    opts.checkpoint_every = value(&args, i, "--checkpoint-every")
-                        .parse()
-                        .expect("--checkpoint-every takes an integer");
-                }
-                "--resume" => opts.resume = true,
-                "--guard" => opts.guard = true,
-                "--max-retries" => {
-                    i += 1;
-                    opts.max_retries = value(&args, i, "--max-retries")
-                        .parse()
-                        .expect("--max-retries takes an integer");
-                }
-                other => panic!(
-                    "unknown option `{other}` (known: --quick --full --scale --seed --trials --out --dataset --trace-out --checkpoint-dir --checkpoint-every --resume --guard --max-retries)"
-                ),
-            }
-            i += 1;
-        }
+        let mut opts = HarnessOpts::parse(&args).unwrap_or_else(|e| {
+            let bin = bin_name();
+            eprintln!("{bin}: {e}\nusage: {bin} {USAGE}");
+            std::process::exit(2);
+        });
         if std::env::var("RGAE_FAULT").is_ok_and(|v| !v.trim().is_empty()) {
             opts.guard = true;
+        }
+        opts
+    }
+
+    /// Parse `--quick`, `--full`, `--scale S`, `--seed N`, `--trials N`,
+    /// `--out DIR`, `--dataset NAME`, `--trace-out PATH`, `--checkpoint-dir
+    /// DIR`, `--checkpoint-every N`, `--resume`, `--guard`, `--max-retries
+    /// N`. Rejects unknown flags, missing or unparsable values, a `--scale`
+    /// that is not a finite number above 0, and a `--dataset` that names no
+    /// [`DatasetKind`].
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("`{flag}` takes a number, got `{v}`"))
+        }
+        let mut opts = HarnessOpts::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            let mut value = || {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("`{flag}` requires a value"))
+            };
+            match flag {
+                "--quick" => opts.quick = true,
+                "--full" => opts.scale = 1.0,
+                "--scale" => opts.scale = number(flag, value()?)?,
+                "--seed" => opts.seed = number(flag, value()?)?,
+                "--trials" => opts.trials = number(flag, value()?)?,
+                "--out" => opts.out_dir = PathBuf::from(value()?),
+                "--dataset" => opts.only_dataset = Some(value()?.to_owned()),
+                "--trace-out" => opts.trace_out = Some(PathBuf::from(value()?)),
+                "--checkpoint-dir" => opts.checkpoint_dir = Some(PathBuf::from(value()?)),
+                "--checkpoint-every" => opts.checkpoint_every = number(flag, value()?)?,
+                "--resume" => opts.resume = true,
+                "--guard" => opts.guard = true,
+                "--max-retries" => opts.max_retries = number(flag, value()?)?,
+                other => return Err(format!("unknown option `{other}`")),
+            }
+        }
+        if !(opts.scale.is_finite() && opts.scale > 0.0) {
+            return Err(format!(
+                "`--scale` must be a finite number above 0, got {}",
+                opts.scale
+            ));
+        }
+        if let Some(name) = &opts.only_dataset {
+            let known: Vec<&str> = DatasetKind::citation()
+                .into_iter()
+                .chain(DatasetKind::air())
+                .map(|k| k.name())
+                .collect();
+            if !known.contains(&name.as_str()) {
+                let known = known.join(", ");
+                return Err(format!("unknown dataset `{name}` (known: {known})"));
+            }
         }
         if opts.quick {
             opts.scale = opts.scale.min(0.2);
             opts.trials = opts.trials.min(2);
         }
-        opts
+        Ok(opts)
     }
 
     /// The guard configuration selected by `--guard` / `--max-retries`,
@@ -677,6 +679,67 @@ mod tests {
         assert!(c.dir.ends_with("table1_2-cora-like-DGAE-r-7"));
         assert_eq!(c.every, 10);
         assert!(c.resume);
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let o = HarnessOpts::parse(&args(
+            "--scale 0.5 --seed 9 --trials 4 --out o --dataset brazil-air-like --trace-out t.jsonl \
+             --checkpoint-dir c --checkpoint-every 5 --resume --guard --max-retries 1",
+        ))
+        .unwrap();
+        assert_eq!((o.scale, o.seed, o.trials), (0.5, 9, 4));
+        assert_eq!(o.out_dir, PathBuf::from("o"));
+        assert_eq!(o.only_dataset.as_deref(), Some("brazil-air-like"));
+        assert_eq!(o.trace_out, Some(PathBuf::from("t.jsonl")));
+        assert_eq!(o.checkpoint_dir, Some(PathBuf::from("c")));
+        assert_eq!((o.checkpoint_every, o.max_retries), (5, 1));
+        assert!(o.resume && o.guard && !o.quick);
+
+        let d = HarnessOpts::parse(&[]).unwrap();
+        assert_eq!((d.scale, d.seed, d.trials), (0.35, 42, 3));
+        assert_eq!(HarnessOpts::parse(&args("--full")).unwrap().scale, 1.0);
+        let q = HarnessOpts::parse(&args("--quick --full --trials 9")).unwrap();
+        assert_eq!((q.scale, q.trials), (0.2, 2));
+        for kind in DatasetKind::citation()
+            .into_iter()
+            .chain(DatasetKind::air())
+        {
+            assert!(HarnessOpts::parse(&args(&format!("--dataset {}", kind.name()))).is_ok());
+        }
+    }
+
+    #[test]
+    fn parse_rejects_bad_input() {
+        for (line, want) in [
+            ("--bogus", "unknown option `--bogus`"),
+            ("--quick extra", "unknown option `extra`"),
+            ("--seed abc", "`--seed` takes a number, got `abc`"),
+            ("--seed -1", "`--seed` takes a number"),
+            ("--trials 1.5", "`--trials` takes a number"),
+            (
+                "--checkpoint-every x",
+                "`--checkpoint-every` takes a number",
+            ),
+            ("--max-retries -2", "`--max-retries` takes a number"),
+            ("--scale x", "`--scale` takes a number"),
+            ("--scale nan", "`--scale` must be a finite number above 0"),
+            ("--scale inf", "`--scale` must be a finite number above 0"),
+            ("--scale 0", "`--scale` must be a finite number above 0"),
+            ("--scale -1", "`--scale` must be a finite number above 0"),
+            ("--dataset bogus", "unknown dataset `bogus`"),
+            ("--dataset Cora-Like", "unknown dataset `Cora-Like`"),
+            ("--seed", "`--seed` requires a value"),
+            ("--guard --out", "`--out` requires a value"),
+            ("--dataset", "`--dataset` requires a value"),
+        ] {
+            let err = HarnessOpts::parse(&args(line)).unwrap_err();
+            assert!(err.contains(want), "`{line}`: got `{err}`");
+        }
     }
 
     #[test]
